@@ -127,6 +127,16 @@ def cmd_analyze(args) -> int:
         max_iter=config.em_max_iter,
         snp_ids=panel.snp_ids,
     )
+    if not model.converged:
+        trace = model.em_trace
+        change = float("nan")
+        if trace.size > 1:
+            change = abs(trace[-1] - trace[-2]) / abs(trace[-2])
+        print(
+            f"warning: EM did not converge in {model.n_iter} iterations "
+            f"(last relative change {change:.3g}, tolerance {config.em_tol:g})",
+            file=sys.stderr,
+        )
     reports = {}
     for label in config.labels():
         null_set = null_subset(_HYP_LABELS[label], len(included))

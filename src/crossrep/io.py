@@ -43,9 +43,30 @@ def write_json(path, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path) -> str:
+    """File contents; a missing, unreadable or non-text file is a DataError."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc.reason}") from exc
+
+
+def _read_lines(path) -> list[str]:
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    return lines
+
+
 def read_json(path):
-    with open(path) as handle:
-        return json.load(handle)
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def sha256_file(path) -> str:
@@ -70,12 +91,21 @@ def _parse_float(token: str, path, lineno: int, column: str) -> float:
     return value
 
 
+def _parse_status(token: str, path, lineno: int, column: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    if value not in (-1, 0, 1):
+        raise DataError(
+            f"{path}: line {lineno}: column {column!r}: {token!r} is not -1, 0 or +1"
+        )
+    return value
+
+
 def read_zpanel(path) -> ZPanel:
     """Read a z-score panel TSV: header snp_id then one column per study."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 2:
         raise DataError(f"{path}: line 1: header must be snp_id followed by study ids")
@@ -186,10 +216,7 @@ def write_comparison_report(path, snp_ids, columns: dict) -> None:
 
 def read_report_rejections(path):
     """Rejection masks keyed by hypothesis label from any report TSV."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id":
         raise DataError(f"{path}: first column must be snp_id")
@@ -234,10 +261,7 @@ def write_truth(truth: TruthPanel, study_ids, path) -> None:
 
 
 def read_truth(path) -> tuple[TruthPanel, list[str]]:
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id" or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
@@ -249,7 +273,12 @@ def read_truth(path) -> tuple[TruthPanel, list[str]]:
         if len(fields) != len(header):
             raise DataError(f"{path}: line {lineno}: wrong field count")
         snp_ids.append(fields[0])
-        statuses.append([int(fields[1 + 3 * i]) for i in range(n)])
+        statuses.append(
+            [
+                _parse_status(fields[1 + 3 * i], path, lineno, header[1 + 3 * i])
+                for i in range(n)
+            ]
+        )
         theta.append(
             [_parse_float(fields[2 + 3 * i], path, lineno, "theta") for i in range(n)]
         )

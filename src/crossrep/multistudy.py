@@ -12,6 +12,7 @@ values into the level-q rejection rule.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,10 +115,7 @@ def config_likelihood(snp_bins, h, cond: ConditionalBinDensities) -> float:
     """Probability of one feature's bin vector under configuration h."""
     if len(snp_bins) != cond.n_studies or len(h) != cond.n_studies:
         raise DataError("bin vector, configuration and densities disagree on n")
-    out = 1.0
-    for i, (b, s) in enumerate(zip(snp_bins, h)):
-        out *= cond.probs[i, s + 1, b]
-    return float(out)
+    return float(np.prod(cond.probs[np.arange(cond.n_studies), np.add(h, 1), snp_bins]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +128,10 @@ class ConfigModel:
     em_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = True
     n_iter: int = 0
+    # set by em_fit, never by __init__, so dataclasses.replace cannot carry it stale
+    likelihood: CollapsedLikelihood | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -149,27 +151,59 @@ def _status_index_matrix(space) -> np.ndarray:
     return np.array(space, dtype=np.int8) + 1  # (K, n) with values 0, 1, 2
 
 
+# A panel's bin_index (n, M), its distinct bin combos (U, n) in lexicographic
+# order, each feature's combo (M,), combo counts (U,) and like (K, U).
+CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index combos inverse counts like")
+
+
 def _collapse_bins(bin_index: np.ndarray):
-    """Unique bin combinations with multiplicities; EM cost scales with them."""
-    combos, inverse, counts = np.unique(
-        bin_index.T, axis=0, return_inverse=True, return_counts=True
+    """Unique bin combinations with multiplicities; EM cost scales with them.
+
+    Mixed-radix keys, study 0 most significant, re-ranked before overflow.
+    """
+    radix = int(bin_index.max()) + 1
+    key = np.zeros(bin_index.shape[1], dtype=np.int64)
+    for row in bin_index:
+        if (int(key.max()) + 1) * radix > np.iinfo(np.int64).max:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * radix + row
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
     )
-    return combos, inverse.ravel(), counts.astype(float)
+    return bin_index.T[first], inverse.ravel(), counts.astype(float)
 
 
 def _likelihood_matrix(
     cond: ConditionalBinDensities, status_idx: np.ndarray, combos: np.ndarray
 ) -> np.ndarray:
-    """(K, U) matrix of combo probabilities under each configuration."""
-    like = np.ones((status_idx.shape[0], combos.shape[0]))
-    for i in range(status_idx.shape[1]):
-        like *= cond.probs[i, status_idx[:, i]][:, combos[:, i]]
+    """(K, U) matrix of combo probabilities under each configuration.
+
+    A row-wise Khatri-Rao product of the per-study (3, U) factors, so rows
+    follow enumerate_configurations. Factors are made C-contiguous: a
+    strided like changes how BLAS rounds pi @ like.
+    """
+    n = cond.n_studies
+    if not np.array_equal(status_idx, _status_index_matrix(enumerate_configurations(n))):
+        raise ModelError("status rows must follow the lexicographic configuration order")
+    like = np.ascontiguousarray(cond.probs[0][:, combos[:, 0]])
+    for i in range(1, n):
+        factor = np.ascontiguousarray(cond.probs[i][:, combos[:, i]])
+        like = (like[:, None, :] * factor[None, :, :]).reshape(-1, combos.shape[0])
     return like
 
 
-def _first_snp_for_combo(inverse: np.ndarray, combo: int, snp_ids) -> str:
-    j = int(np.nonzero(inverse == combo)[0][0])
-    return snp_ids[j] if snp_ids is not None else f"index {j}"
+def _collapsed_likelihood(bin_index, cond, space) -> CollapsedLikelihood:
+    combos, inverse, counts = _collapse_bins(bin_index)
+    like = _likelihood_matrix(cond, _status_index_matrix(space), combos)
+    return CollapsedLikelihood(bin_index.copy(), combos, inverse, counts, like)
+
+
+def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:
+    bad = np.nonzero(mixture <= 0.0)[0]
+    if bad.size:
+        j = int(np.nonzero(inverse == bad[0])[0][0])
+        snp = snp_ids[j] if snp_ids is not None else f"index {j}"
+        raise ModelError(f"zero mixture likelihood for snp {snp}")
 
 
 def em_fit(
@@ -218,18 +252,14 @@ def em_fit(
     if max_iter < 1:
         raise ConfigError("max_iter must be positive")
 
-    status_idx = _status_index_matrix(space)
-    combos, inverse, counts = _collapse_bins(binned.bin_index)
-    like = _likelihood_matrix(cond, status_idx, combos)
+    collapsed = _collapsed_likelihood(binned.bin_index, cond, space)
+    like, counts = collapsed.like, collapsed.counts
 
     trace = []
     converged = False
     for iteration in range(max_iter):
         mixture = pi @ like
-        bad = mixture <= 0.0
-        if np.any(bad):
-            snp = _first_snp_for_combo(inverse, int(np.nonzero(bad)[0][0]), snp_ids)
-            raise ModelError(f"zero mixture likelihood for snp {snp}")
+        _check_mixture(mixture, collapsed.inverse, snp_ids)
         loglik = float(counts @ np.log(mixture))
         trace.append(loglik)
         if iteration > 0 and abs(loglik - trace[-2]) <= tol * abs(trace[-2]):
@@ -238,7 +268,7 @@ def em_fit(
         pi = pi * (like @ (counts / mixture)) / m
         pi /= pi.sum()
 
-    return ConfigModel(
+    model = ConfigModel(
         space=tuple(space),
         pi=pi,
         conditionals=cond,
@@ -246,16 +276,16 @@ def em_fit(
         converged=converged,
         n_iter=len(trace),
     )
+    object.__setattr__(model, "likelihood", collapsed)
+    return model
 
 
 def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     """Posterior configuration probabilities for one feature's bin vector."""
     if len(snp_bins) != model.n_studies:
         raise DataError("bin vector length must equal the model's study count")
-    status_idx = _status_index_matrix(model.space)
-    like = np.ones(len(model.space))
-    for i, b in enumerate(snp_bins):
-        like *= model.conditionals.probs[i, :, b][status_idx[:, i]]
+    bins = np.reshape(snp_bins, (-1, 1))
+    like = _collapsed_likelihood(bins, model.conditionals, model.space).like[:, 0]
     weights = model.pi * like
     total = weights.sum()
     if total <= 0.0:
@@ -280,18 +310,15 @@ def local_fdr_panel(
     """Vector of local FDR values for every feature in the panel."""
     if null_set.n != model.n_studies or binned.n_studies != model.n_studies:
         raise DataError("panel, model and hypothesis set disagree on study count")
-    status_idx = _status_index_matrix(model.space)
-    combos, inverse, _ = _collapse_bins(binned.bin_index)
-    like = _likelihood_matrix(model.conditionals, status_idx, combos)
+    collapsed = model.likelihood
+    if collapsed is None or not np.array_equal(collapsed.bin_index, binned.bin_index):
+        collapsed = _collapsed_likelihood(binned.bin_index, model.conditionals, model.space)
     members = np.array(null_set.members)
-    numer = model.pi[members] @ like[members]
-    denom = model.pi @ like
-    bad = denom <= 0.0
-    if np.any(bad):
-        snp = _first_snp_for_combo(inverse, int(np.nonzero(bad)[0][0]), snp_ids)
-        raise ModelError(f"zero mixture likelihood for snp {snp}")
+    numer = model.pi[members] @ collapsed.like[members]
+    denom = model.pi @ collapsed.like
+    _check_mixture(denom, collapsed.inverse, snp_ids)
     lf = np.minimum(numer / denom, 1.0)
-    return lf[inverse]
+    return lf[collapsed.inverse]
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,3 +173,23 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
             n_exact += cand.size
             best = max(best, float(lls.max()))
     return best, n_exact, n_total
+
+
+def gather_likelihood_matrix(cond, status_idx, combos):
+    """Reference (K, U) configuration likelihood: one gather per study.
+
+    The per-configuration form of multistudy._likelihood_matrix; the two
+    multiply in the same order, so their results are bit-identical.
+    """
+    like = np.ones((status_idx.shape[0], combos.shape[0]))
+    for i in range(status_idx.shape[1]):
+        like *= cond.probs[i, status_idx[:, i]][:, combos[:, i]]
+    return like
+
+
+def unique_rows_collapse(bin_index):
+    """Reference bin collapse: np.unique over the feature rows."""
+    combos, inverse, counts = np.unique(
+        bin_index.T, axis=0, return_inverse=True, return_counts=True
+    )
+    return combos, inverse.ravel(), counts.astype(float)

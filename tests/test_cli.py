@@ -125,6 +125,17 @@ class TestAnalyze:
         assert code == 4
         assert "two qualifying studies" in capsys.readouterr().err
 
+    def test_unconverged_em_warns_and_succeeds(self, sim_dir, tmp_path, capsys):
+        code = run(
+            ["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path,
+             "--em-max-iter", 3]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: EM did not converge in 3 iterations" in err
+        assert "last relative change" in err
+        assert not json.loads((tmp_path / "model.json").read_text())["converged"]
+
     def test_na_only_on_single_study(self, tmp_path):
         rng = np.random.default_rng(2)
         z = np.concatenate([rng.normal(size=1800), rng.normal(3, 1, size=200)])
@@ -203,6 +214,44 @@ class TestErrorChannels:
         code = run(["analyze", "--input", bad, "--out-dir", tmp_path])
         assert code == 3
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", "missing.tsv"],
+            ["simulate", "--design", "missing.json"],
+            ["evaluate", "--report", "missing.tsv", "--truth", "missing_truth.tsv"],
+        ],
+    )
+    def test_missing_input_file_is_data_error(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a.startswith("missing") else a for a in argv]
+        code = run(argv + ["--out-dir", tmp_path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+
+    def test_missing_truth_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        code = run(
+            ["evaluate", "--report", tmp_path / "report_meta.tsv",
+             "--truth", tmp_path / "missing.tsv", "--out-dir", tmp_path]
+        )
+        assert code == 3
+        assert "missing.tsv: cannot read" in capsys.readouterr().err
+
+    def test_bad_truth_status_is_data_error(self, sim_dir, tmp_path, capsys):
+        run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        lines = (sim_dir / "truth.tsv").read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[1] = "0.5"
+        lines[1] = "\t".join(fields)
+        (tmp_path / "truth.tsv").write_text("\n".join(lines) + "\n")
+        code = run(
+            ["evaluate", "--report", tmp_path / "report_meta.tsv",
+             "--truth", tmp_path / "truth.tsv", "--out-dir", tmp_path]
+        )
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_bad_bin_count_is_config_error(self, sim_dir, tmp_path, capsys):
         code = run(

@@ -61,6 +61,23 @@ class TestTruthAndDesignIO:
         assert np.array_equal(back.theta, truth.theta)
         assert np.array_equal(back.maf, truth.maf)
 
+    def write_truth_with_status(self, tmp_path, token):
+        design = default_design(n_snps=5, seed=2)
+        path = tmp_path / "truth.tsv"
+        cio.write_truth(draw_truth(design), ("s1", "s2", "s3"), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split("\t")
+        fields[4] = token  # h_s2 of the second data row
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("token", ["x", "1.0", "", "2", "-2"])
+    def test_bad_truth_status_names_path_line_and_column(self, tmp_path, token):
+        path = self.write_truth_with_status(tmp_path, token)
+        with pytest.raises(DataError, match=r"truth\.tsv: line 3: column 'h_s2'"):
+            cio.read_truth(path)
+
     def test_design_roundtrip(self):
         design = default_design(n_snps=123, seed=9)
         back = cio.design_from_payload(cio.design_payload(design))
@@ -98,3 +115,29 @@ class TestReportIO:
         path.write_text("snp_id\tp_na\nrs1\t0.5\n")
         with pytest.raises(DataError, match="rejected"):
             cio.read_report_rejections(path)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "reader",
+        [cio.read_zpanel, cio.read_truth, cio.read_report_rejections, cio.read_json],
+    )
+    def test_missing_file_is_data_error(self, tmp_path, reader):
+        with pytest.raises(DataError, match=r"missing\.tsv: cannot read"):
+            reader(tmp_path / "missing.tsv")
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            cio.read_zpanel(tmp_path)
+
+    def test_binary_file_is_data_error(self, tmp_path):
+        path = tmp_path / "panel.tsv"
+        path.write_bytes(b"snp_id\ta\n\xff\xfe\t1\n")
+        with pytest.raises(DataError, match="not a text file"):
+            cio.read_zpanel(path)
+
+    def test_malformed_json_is_data_error(self, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text("{not json")
+        with pytest.raises(DataError, match="not valid JSON"):
+            cio.read_json(path)

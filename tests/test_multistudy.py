@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 import crossrep as cr
+import crossrep.multistudy as ms
 from crossrep import (
     ConditionalBinDensities,
     ConfigError,
@@ -22,6 +27,7 @@ from crossrep import (
 )
 from crossrep.multistudy import _empirical_conditionals
 from crossrep.twogroup import BinnedPanel
+from helpers import gather_likelihood_matrix, unique_rows_collapse
 
 NA = cr.HypothesisKind.NO_ASSOCIATION
 NR = cr.HypothesisKind.NO_REPLICABILITY
@@ -75,6 +81,30 @@ def sample_panel_bins(rng, cond, pi, m):
                     b, size=int(mask.sum()), p=cond.probs[i, s + 1]
                 )
     return bins, picks
+
+
+def random_conditionals(rng, n, b):
+    """Random conditionals on a shared grid, signed vectors truncated."""
+    _, centers, _ = grid(-6.0, 6.0, b)
+    probs = rng.dirichlet(np.ones(b), size=(n, 3))
+    probs[:, 0, centers >= 0] = 0.0
+    probs[:, 2, centers <= 0] = 0.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    return ConditionalBinDensities(np.tile(centers, (n, 1)), probs)
+
+
+def random_fit(seed, n, b=8, m=300):
+    """A panel drawn from random conditionals and weights, and its EM fit."""
+    rng = np.random.default_rng(seed)
+    cond = random_conditionals(rng, n, b)
+    bins, _ = sample_panel_bins(rng, cond, rng.dirichlet(np.ones(3**n)), m)
+    binned = make_binned(bins, b=b)
+    return rng, binned, em_fit(binned, cond, max_iter=200)
+
+
+def null_sets(n):
+    kinds = (NR, NA) if n >= 2 else (NA,)
+    return [cr.null_subset(kind, n) for kind in kinds]
 
 
 class TestBuildConditionals:
@@ -311,6 +341,90 @@ class TestLocalFdrSet:
         model = self.make_model()
         with pytest.raises(DataError):
             local_fdr_set((0, 0), model, cr.null_subset(NA, 3))
+
+
+class TestCollapsedLikelihood:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 300),
+        b=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=200, b=40, seed=0)
+    @example(n=8, m=200, b=1, seed=1)  # every feature in one bin
+    @example(n=8, m=300, b=400, seed=2)  # 400**8 overflows an int64 key
+    def test_collapse_matches_unique_rows(self, n, m, b, seed):
+        bin_index = np.random.default_rng(seed).integers(0, b, size=(n, m)).astype(np.int32)
+        got = ms._collapse_bins(bin_index)
+        for have, want in zip(got, unique_rows_collapse(bin_index)):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_khatri_rao_build_is_bit_identical_to_gather(self, n, seed):
+        rng = np.random.default_rng(seed)
+        cond = random_conditionals(rng, n, 9)
+        combos, _, _ = ms._collapse_bins(rng.integers(0, 9, size=(n, 500)))
+        status_idx = ms._status_index_matrix(cr.enumerate_configurations(n))
+        like = ms._likelihood_matrix(cond, status_idx, combos)
+        assert like.flags.c_contiguous
+        assert np.array_equal(like, gather_likelihood_matrix(cond, status_idx, combos))
+
+    def test_status_rows_out_of_order_are_refused(self):
+        cond = analytic_conditionals(2, b=10)
+        status_idx = ms._status_index_matrix(cr.enumerate_configurations(2))[::-1]
+        with pytest.raises(ModelError, match="lexicographic"):
+            ms._likelihood_matrix(cond, status_idx, np.zeros((1, 2), dtype=np.int32))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fit_and_reports_match_the_gather_path(self, n, monkeypatch):
+        _, binned, model = random_fit(100 + n, n)
+        lfs = [local_fdr_panel(binned, model, ns) for ns in null_sets(n)]
+        monkeypatch.setattr(ms, "_collapse_bins", unique_rows_collapse)
+        monkeypatch.setattr(ms, "_likelihood_matrix", gather_likelihood_matrix)
+        ref = em_fit(binned, model.conditionals, max_iter=200)
+        assert np.array_equal(model.pi, ref.pi)
+        assert np.array_equal(model.em_trace, ref.em_trace)
+        for ns, lf in zip(null_sets(n), lfs):
+            assert np.array_equal(lf, local_fdr_panel(binned, ref, ns))
+
+    def test_fit_and_both_reports_build_the_likelihood_once(self, monkeypatch):
+        calls = []
+        build = ms._likelihood_matrix
+        monkeypatch.setattr(
+            ms, "_likelihood_matrix", lambda *args: calls.append(1) or build(*args)
+        )
+        rng, binned, model = random_fit(7, 3)
+        for ns in null_sets(3):
+            local_fdr_panel(binned, model, ns)
+        assert len(calls) == 1
+        other = make_binned(rng.permutation(binned.bin_index, axis=1), b=8)
+        local_fdr_panel(other, model, null_sets(3)[0])
+        assert len(calls) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_local_fdr_is_invariant_to_feature_order(self, n, seed):
+        rng, binned, model = random_fit(seed, n)
+        perm = rng.permutation(binned.n_snps)
+        shuffled = make_binned(binned.bin_index[:, perm], b=8)
+        for ns in null_sets(n):
+            lf = local_fdr_panel(binned, model, ns)
+            assert np.array_equal(local_fdr_panel(shuffled, model, ns), lf[perm])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_cached_likelihood_is_not_reused_for_another_panel(self, n, seed):
+        rng, binned, model = random_fit(seed, n)
+        other = make_binned(rng.integers(0, 8, size=binned.bin_index.shape), b=8)
+        uncached = dataclasses.replace(model)
+        assert model.likelihood is not None and uncached.likelihood is None
+        for ns in null_sets(n):
+            assert np.array_equal(
+                local_fdr_panel(other, model, ns), local_fdr_panel(other, uncached, ns)
+            )
 
 
 class TestFdrReport:
