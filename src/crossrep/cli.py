@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import io, metap, multistudy, sim, twogroup
@@ -46,16 +46,7 @@ class RunConfig:
         return ["nr", "na"] if self.hypothesis == "both" else [self.hypothesis]
 
     def to_json(self) -> dict:
-        return {
-            "bins": self.bins,
-            "q": self.q,
-            "hypothesis": self.hypothesis,
-            "em_tol": self.em_tol,
-            "em_max_iter": self.em_max_iter,
-            "exclude_threshold": self.exclude_threshold,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -73,12 +64,17 @@ def _config_from_args(args) -> RunConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot create output directory: {exc.strerror or exc}") from exc
     return out
 
 
-def _write_record(out: Path, command: str, config: RunConfig, inputs: dict) -> None:
-    io.write_json(out / f"{command}.run.json", io.run_record(command, config.to_json(), inputs))
+def _write_record(out: Path, command: str, config: RunConfig, inputs: dict, warnings=()):
+    record = io.run_record(command, config.to_json(), inputs)
+    record["warnings"] += warnings
+    io.write_json(out / f"{command}.run.json", record)
 
 
 def cmd_fit(args) -> int:
@@ -127,16 +123,17 @@ def cmd_analyze(args) -> int:
         max_iter=config.em_max_iter,
         snp_ids=panel.snp_ids,
     )
+    warnings = []
     if not model.converged:
         trace = model.em_trace
         change = float("nan")
         if trace.size > 1:
             change = abs(trace[-1] - trace[-2]) / abs(trace[-2])
-        print(
-            f"warning: EM did not converge in {model.n_iter} iterations "
-            f"(last relative change {change:.3g}, tolerance {config.em_tol:g})",
-            file=sys.stderr,
+        warnings.append(
+            f"EM did not converge in {model.n_iter} iterations "
+            f"(last relative change {change:.3g}, tolerance {config.em_tol:g})"
         )
+        print(f"warning: {warnings[-1]}", file=sys.stderr)
     reports = {}
     for label in config.labels():
         null_set = null_subset(_HYP_LABELS[label], len(included))
@@ -150,7 +147,7 @@ def cmd_analyze(args) -> int:
     }
     io.write_json(out / "model.json", payload)
     io.write_analysis_report(out / "report_eb.tsv", panel.snp_ids, reports)
-    _write_record(out, "analyze", config, {"zpanel": args.input})
+    _write_record(out, "analyze", config, {"zpanel": args.input}, warnings)
     for label, rep in reports.items():
         print(f"{label}: rejected {rep.n_rejected} of {panel.n_snps} at q={config.q}")
     return 0

@@ -12,10 +12,13 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .configspace import config_from_string, config_to_string
 from .errors import DataError
 from .multistudy import ConfigModel
@@ -77,30 +80,91 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _parse_float(token: str, path, lineno: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise DataError(
-            f"{path}: line {lineno}: column {column!r}: {token!r} is not a number"
-        ) from exc
-    if not np.isfinite(value):
-        raise DataError(
-            f"{path}: line {lineno}: column {column!r}: missing or non-finite value"
-        )
-    return value
+# Column parsers raise a ValueError whose message is the error for one bad token.
 
-
-def _parse_status(token: str, path, lineno: int, column: str) -> int:
+def _floats(tokens: list[str]) -> list[float]:
     try:
-        value = int(token)
+        values = list(map(float, tokens))
     except ValueError:
-        value = None
-    if value not in (-1, 0, 1):
-        raise DataError(
-            f"{path}: line {lineno}: column {column!r}: {token!r} is not -1, 0 or +1"
-        )
-    return value
+        raise ValueError("column {column!r}: {token!r} is not a number") from None
+    if not np.isfinite(values).all():
+        raise ValueError("column {column!r}: missing or non-finite value")
+    return values
+
+
+def _statuses(tokens: list[str]) -> list[int]:
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = [None]
+    if not set(values) <= {-1, 0, 1}:
+        raise ValueError("column {column!r}: {token!r} is not -1, 0 or +1")
+    return values
+
+
+def _flags(tokens: list[str]) -> np.ndarray:
+    if not set(tokens) <= {"0", "1"}:
+        raise ValueError("bad rejection flag {token!r}")
+    return np.array(tokens, dtype=str) == "1"
+
+
+def _field_count(fields: list[str], width: int) -> str | None:
+    if len(fields) != width:
+        return f"expected {width} fields, got {len(fields)}"
+    return None
+
+
+def _read_table(path, lines: list[str], cells, line_fault):
+    """Token columns below the header, and the cell columns parsed whole.
+
+    cells lists (column index, parser) in the order a line is checked. Only
+    when a check fails are the lines walked one by one, to raise the error
+    for the first fault: line_fault(fields, width) or a parser's message.
+    """
+    header = lines[0].split("\t")
+    body = lines[1:]
+    try:
+        if list(map(str.count, body, repeat("\t"))).count(len(header) - 1) != len(body):
+            raise ValueError("wrong field count")
+        tokens = "\t".join(body).split("\t") if body else []
+        columns = [tokens[k :: len(header)] for k in range(len(header))]
+        return columns, [parse(columns[k]) for k, parse in cells]
+    except ValueError:
+        pass
+    for lineno, line in enumerate(body, start=2):
+        fields = line.split("\t")
+        problem = line_fault(fields, len(header))
+        for k, parse in cells:
+            if problem:
+                break
+            try:
+                parse(fields[k : k + 1])
+            except ValueError as exc:
+                problem = str(exc).format(token=fields[k], column=header[k])
+        if problem:
+            raise DataError(f"{path}: line {lineno}: {problem}")
+    raise RuntimeError(f"{path}: the column checks failed but no line is at fault")
+
+
+def _feature_major(columns: list[list], n_rows: int, dtype=float) -> np.ndarray:
+    """(len(columns), n_rows) array stored feature by feature, as rows were read.
+
+    Results depend on it: numpy sums 8 or more contiguous values pairwise but
+    study-major rows one after another, so at n = 8 a study-major z panel
+    moves the comparator's p-values in the last bits.
+    """
+    out = np.empty((n_rows, len(columns)), dtype=dtype)
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out.T
+
+
+def _write_table(path, header: list[str], snp_ids, cells) -> None:
+    """TSV written column by column: snp ids, then (format, values) columns."""
+    columns = [list(snp_ids)]
+    columns += [list(map(fmt.__mod__, np.asarray(v).tolist())) for fmt, v in cells]
+    rows = map("\t".join, zip(*columns))
+    _atomic_write(path, "\n".join(["\t".join(header), *rows]) + "\n")
 
 
 def read_zpanel(path) -> ZPanel:
@@ -109,35 +173,20 @@ def read_zpanel(path) -> ZPanel:
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 2:
         raise DataError(f"{path}: line 1: header must be snp_id followed by study ids")
-    study_ids = header[1:]
-    snp_ids = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise DataError(f"{path}: line {lineno}: blank line")
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise DataError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        snp_ids.append(fields[0])
-        rows.append(
-            [
-                _parse_float(tok, path, lineno, study_ids[k])
-                for k, tok in enumerate(fields[1:])
-            ]
-        )
-    if not rows:
+    if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
-    return ZPanel(tuple(snp_ids), tuple(study_ids), np.array(rows).T)
+    cells = [(k, _floats) for k in range(1, len(header))]
+    columns, z = _read_table(path, lines, cells, _panel_line_fault)
+    return ZPanel(tuple(columns[0]), tuple(header[1:]), _feature_major(z, len(lines) - 1))
+
+
+def _panel_line_fault(fields: list[str], width: int) -> str | None:
+    return "blank line" if fields == [""] else _field_count(fields, width)
 
 
 def write_zpanel(panel: ZPanel, path) -> None:
-    lines = ["snp_id\t" + "\t".join(panel.study_ids)]
-    for j, snp in enumerate(panel.snp_ids):
-        values = "\t".join(_FLOAT_FMT % v for v in panel.z[:, j])
-        lines.append(f"{snp}\t{values}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    cells = [(_FLOAT_FMT, z) for z in panel.z]
+    _write_table(path, ["snp_id", *panel.study_ids], panel.snp_ids, cells)
 
 
 def fits_payload(fits: list[TwoGroupFit], binned: BinnedPanel) -> dict:
@@ -173,22 +222,15 @@ def write_analysis_report(path, snp_ids, reports: dict) -> None:
 
     reports maps a short label ("nr", "na") to a DiscoveryReport.
     """
-    labels = list(reports)
-    header = ["snp_id"]
-    for label in labels:
+    header, cells = ["snp_id"], []
+    for label, report in reports.items():
         header += [f"local_fdr_{label}", f"fdr_{label}", f"rejected_{label}"]
-    lines = ["\t".join(header)]
-    for j, snp in enumerate(snp_ids):
-        fields = [snp]
-        for label in labels:
-            report = reports[label]
-            fields += [
-                "%.6g" % report.local_fdr[j],
-                "%.6g" % report.fdr_estimate[j],
-                "%d" % report.rejected[j],
-            ]
-        lines.append("\t".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        cells += [
+            ("%.6g", report.local_fdr),
+            ("%.6g", report.fdr_estimate),
+            ("%d", report.rejected),
+        ]
+    _write_table(path, header, snp_ids, cells)
 
 
 def write_comparison_report(path, snp_ids, columns: dict) -> None:
@@ -196,22 +238,11 @@ def write_comparison_report(path, snp_ids, columns: dict) -> None:
 
     columns maps a label to a dict with keys p, p_adjusted, rejected.
     """
-    labels = list(columns)
-    header = ["snp_id"]
-    for label in labels:
+    header, cells = ["snp_id"], []
+    for label, col in columns.items():
         header += [f"p_{label}", f"p_adj_{label}", f"rejected_{label}"]
-    lines = ["\t".join(header)]
-    for j, snp in enumerate(snp_ids):
-        fields = [snp]
-        for label in labels:
-            col = columns[label]
-            fields += [
-                "%.6g" % col["p"][j],
-                "%.6g" % col["p_adjusted"][j],
-                "%d" % col["rejected"][j],
-            ]
-        lines.append("\t".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        cells += [("%.6g", col["p"]), ("%.6g", col["p_adjusted"]), ("%d", col["rejected"])]
+    _write_table(path, header, snp_ids, cells)
 
 
 def read_report_rejections(path):
@@ -227,37 +258,18 @@ def read_report_rejections(path):
     }
     if not labels:
         raise DataError(f"{path}: no rejected_* columns found")
-    snp_ids = []
-    masks = {label: [] for label in labels}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise DataError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        snp_ids.append(fields[0])
-        for label, k in labels.items():
-            if fields[k] not in ("0", "1"):
-                raise DataError(f"{path}: line {lineno}: bad rejection flag {fields[k]!r}")
-            masks[label].append(fields[k] == "1")
-    return tuple(snp_ids), {label: np.array(v, dtype=bool) for label, v in masks.items()}
+    cells = [(k, _flags) for k in labels.values()]
+    columns, masks = _read_table(path, lines, cells, _field_count)
+    return tuple(columns[0]), dict(zip(labels, masks))
 
 
 def write_truth(truth: TruthPanel, study_ids, path) -> None:
-    header = ["snp_id"]
-    for sid in study_ids:
+    header, cells = ["snp_id"], []
+    for i, sid in enumerate(study_ids):
         header += [f"h_{sid}", f"theta_{sid}", f"maf_{sid}"]
-    lines = ["\t".join(header)]
-    for j, snp in enumerate(truth.snp_ids):
-        fields = [snp]
-        for i in range(len(study_ids)):
-            fields += [
-                "%d" % truth.statuses[i, j],
-                _FLOAT_FMT % truth.theta[i, j],
-                _FLOAT_FMT % truth.maf[i, j],
-            ]
-        lines.append("\t".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        cells += [("%d", truth.statuses[i]), (_FLOAT_FMT, truth.theta[i]),
+                  (_FLOAT_FMT, truth.maf[i])]
+    _write_table(path, header, truth.snp_ids, cells)
 
 
 def read_truth(path) -> tuple[TruthPanel, list[str]]:
@@ -266,32 +278,22 @@ def read_truth(path) -> tuple[TruthPanel, list[str]]:
     if header[0] != "snp_id" or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
     study_ids = [name.removeprefix("h_") for name in header[1::3]]
-    n = len(study_ids)
-    snp_ids, statuses, theta, maf = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise DataError(f"{path}: line {lineno}: wrong field count")
-        snp_ids.append(fields[0])
-        statuses.append(
-            [
-                _parse_status(fields[1 + 3 * i], path, lineno, header[1 + 3 * i])
-                for i in range(n)
-            ]
-        )
-        theta.append(
-            [_parse_float(fields[2 + 3 * i], path, lineno, "theta") for i in range(n)]
-        )
-        maf.append(
-            [_parse_float(fields[3 + 3 * i], path, lineno, "maf") for i in range(n)]
-        )
+    n, width, m = len(study_ids), len(header), len(lines) - 1
+    # A line is checked status columns first, then theta, then maf.
+    cells = [(k, _statuses) for k in range(1, width, 3)]
+    cells += [(k, _floats) for k in [*range(2, width, 3), *range(3, width, 3)]]
+    columns, values = _read_table(path, lines, cells, _truth_line_fault)
     truth = TruthPanel(
-        tuple(snp_ids),
-        np.array(statuses, dtype=np.int8).T,
-        np.array(theta).T,
-        np.array(maf).T,
+        tuple(columns[0]),
+        _feature_major(values[:n], m, np.int8),
+        _feature_major(values[n : 2 * n], m),
+        _feature_major(values[2 * n :], m),
     )
     return truth, study_ids
+
+
+def _truth_line_fault(fields: list[str], width: int) -> str | None:
+    return None if len(fields) == width else "wrong field count"
 
 
 def design_payload(design: SimDesign) -> dict:
@@ -334,11 +336,7 @@ def design_from_payload(payload: dict) -> SimDesign:
 
 
 def run_record(command: str, params: dict, inputs: dict) -> dict:
-    """Reproducibility record: parameters, library versions, input digests."""
-    import scipy
-
-    from . import __version__
-
+    """Reproducibility record: parameters, versions, input digests, warnings."""
     return {
         "command": command,
         "parameters": params,
@@ -348,4 +346,5 @@ def run_record(command: str, params: dict, inputs: dict) -> dict:
             "scipy": scipy.__version__,
         },
         "inputs": {name: sha256_file(p) for name, p in inputs.items()},
+        "warnings": [],
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, log_ndtr
 
 from .configspace import HypothesisKind
 from .errors import ConfigError, DataError
@@ -50,7 +50,7 @@ def fisher_combine(p) -> float:
     if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise ValueError("p-values must lie in [0, 1]")
     stat = -2.0 * np.log(np.maximum(p, P_FLOOR)).sum()
-    return float(chi2.sf(stat, 2 * p.size))
+    return float(chdtrc(2 * p.size, stat))
 
 
 def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,11 +59,11 @@ def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z has shape (k, M); returns two (M,) vectors. Log CDFs keep extreme
     z-scores finite; the same 1e-300 floor as fisher_combine applies.
     """
-    log_left = np.maximum(norm.logcdf(z), _LOG_FLOOR)
-    log_right = np.maximum(norm.logcdf(-z), _LOG_FLOOR)
+    log_left = np.maximum(log_ndtr(z), _LOG_FLOOR)
+    log_right = np.maximum(log_ndtr(-z), _LOG_FLOOR)
     df = 2 * z.shape[0]
-    left = chi2.sf(-2.0 * log_left.sum(axis=0), df)
-    right = chi2.sf(-2.0 * log_right.sum(axis=0), df)
+    left = chdtrc(df, -2.0 * log_left.sum(axis=0))
+    right = chdtrc(df, -2.0 * log_right.sum(axis=0))
     return left, right
 
 

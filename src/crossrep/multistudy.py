@@ -16,11 +16,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .configspace import HypothesisSet, enumerate_configurations
 from .errors import ConfigError, DataError, DegenerateAlternativeError, ModelError
-from .twogroup import BinnedPanel, TwoGroupFit
+from .twogroup import BinnedPanel, TwoGroupFit, normal_pdf
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 10_000
@@ -94,7 +93,7 @@ def build_conditionals(
                 f"study {fit.study_id!r} does not qualify: {fit.exclusion_reason}"
             )
         centers = binned.centers[i]
-        phi = norm.pdf(centers)
+        phi = normal_pdf(centers)
         probs[i, 1] = phi / phi.sum()
         pos = np.where(centers > 0, fit.fA_hat, 0.0)
         neg = np.where(centers < 0, fit.fA_hat, 0.0)
@@ -403,7 +402,7 @@ def _empirical_conditionals(
                 freq = np.bincount(binned.bin_index[i, sel], minlength=b).astype(float)
                 probs[i, s + 1] = freq / freq.sum()
             else:
-                w = norm.pdf(centers)
+                w = normal_pdf(centers)
                 if s == 1:
                     w = np.where(centers > 0, w, 0.0)
                 elif s == -1:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import chi2, norm
+from scipy.special import chdtr, expit, ndtri
 
 from .configspace import HypothesisKind, enumerate_configurations, validate_configuration
 from .errors import ConfigError, DataError
@@ -264,7 +263,7 @@ def z_from_tables_contingency(tables: np.ndarray) -> np.ndarray:
     """
     stat = pearson_statistic(tables)
     trend = z_from_tables(tables)
-    magnitude = norm.ppf(np.clip(chi2.cdf(stat, 2), 1e-300, 1.0 - 1e-16))
+    magnitude = ndtri(np.clip(chdtr(2, stat), 1e-300, 1.0 - 1e-16))
     return np.where(trend == 0.0, 0.0, np.sign(trend) * magnitude)
 
 

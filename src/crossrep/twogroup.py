@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import (
     ConfigError,
@@ -36,8 +36,8 @@ POLY_DEGREE = 7
 IRLS_MAX_ITER = 200
 IRLS_TOL = 1e-8
 
-_CENTRAL_LO = norm.ppf(0.25)
-_CENTRAL_HI = norm.ppf(0.75)
+_CENTRAL_LO = ndtri(0.25)
+_CENTRAL_HI = ndtri(0.75)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +177,14 @@ def estimate_pi0(z_study: np.ndarray) -> float:
     return min(1.0, inside / (0.5 * z.size))
 
 
+def normal_pdf(x):
+    """Standard normal density, computed as scipy's norm.pdf computes it."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def null_bin_density(centers: np.ndarray, width: float) -> np.ndarray:
     """Standard normal density renormalized to integrate to 1 over the grid."""
-    w = norm.pdf(np.asarray(centers, dtype=float))
+    w = normal_pdf(np.asarray(centers, dtype=float))
     return w / (w.sum() * width)
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 
 import crossrep as cr
+import crossrep.io as cio
 
 NR = cr.HypothesisKind.NO_REPLICABILITY
 NA = cr.HypothesisKind.NO_ASSOCIATION
@@ -193,3 +194,186 @@ def unique_rows_collapse(bin_index):
         bin_index.T, axis=0, return_inverse=True, return_counts=True
     )
     return combos, inverse.ravel(), counts.astype(float)
+
+
+# Row-by-row TSV readers and writers: the reference oracles of the columnar
+# codec in crossrep.io. read_truth_rows names a bad theta or maf cell by its
+# header, as the status column always did.
+
+def _parse_float(token, path, lineno, column):
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise cr.DataError(
+            f"{path}: line {lineno}: column {column!r}: {token!r} is not a number"
+        ) from exc
+    if not np.isfinite(value):
+        raise cr.DataError(
+            f"{path}: line {lineno}: column {column!r}: missing or non-finite value"
+        )
+    return value
+
+
+def _parse_status(token, path, lineno, column):
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    if value not in (-1, 0, 1):
+        raise cr.DataError(
+            f"{path}: line {lineno}: column {column!r}: {token!r} is not -1, 0 or +1"
+        )
+    return value
+
+
+def read_zpanel_rows(path):
+    lines = cio._read_lines(path)
+    header = lines[0].split("\t")
+    if header[0] != "snp_id" or len(header) < 2:
+        raise cr.DataError(f"{path}: line 1: header must be snp_id followed by study ids")
+    study_ids = header[1:]
+    snp_ids = []
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise cr.DataError(f"{path}: line {lineno}: blank line")
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise cr.DataError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
+            )
+        snp_ids.append(fields[0])
+        rows.append(
+            [
+                _parse_float(tok, path, lineno, study_ids[k])
+                for k, tok in enumerate(fields[1:])
+            ]
+        )
+    if not rows:
+        raise cr.DataError(f"{path}: no data rows")
+    return cr.ZPanel(tuple(snp_ids), tuple(study_ids), np.array(rows).T)
+
+
+def write_zpanel_rows(panel, path):
+    lines = ["snp_id\t" + "\t".join(panel.study_ids)]
+    for j, snp in enumerate(panel.snp_ids):
+        values = "\t".join("%.17g" % v for v in panel.z[:, j])
+        lines.append(f"{snp}\t{values}")
+    cio._atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_analysis_report_rows(path, snp_ids, reports):
+    labels = list(reports)
+    header = ["snp_id"]
+    for label in labels:
+        header += [f"local_fdr_{label}", f"fdr_{label}", f"rejected_{label}"]
+    lines = ["\t".join(header)]
+    for j, snp in enumerate(snp_ids):
+        fields = [snp]
+        for label in labels:
+            report = reports[label]
+            fields += [
+                "%.6g" % report.local_fdr[j],
+                "%.6g" % report.fdr_estimate[j],
+                "%d" % report.rejected[j],
+            ]
+        lines.append("\t".join(fields))
+    cio._atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_comparison_report_rows(path, snp_ids, columns):
+    labels = list(columns)
+    header = ["snp_id"]
+    for label in labels:
+        header += [f"p_{label}", f"p_adj_{label}", f"rejected_{label}"]
+    lines = ["\t".join(header)]
+    for j, snp in enumerate(snp_ids):
+        fields = [snp]
+        for label in labels:
+            col = columns[label]
+            fields += [
+                "%.6g" % col["p"][j],
+                "%.6g" % col["p_adjusted"][j],
+                "%d" % col["rejected"][j],
+            ]
+        lines.append("\t".join(fields))
+    cio._atomic_write(path, "\n".join(lines) + "\n")
+
+
+def read_report_rejections_rows(path):
+    lines = cio._read_lines(path)
+    header = lines[0].split("\t")
+    if header[0] != "snp_id":
+        raise cr.DataError(f"{path}: first column must be snp_id")
+    labels = {
+        name.removeprefix("rejected_"): k
+        for k, name in enumerate(header)
+        if name.startswith("rejected_")
+    }
+    if not labels:
+        raise cr.DataError(f"{path}: no rejected_* columns found")
+    snp_ids = []
+    masks = {label: [] for label in labels}
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise cr.DataError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
+            )
+        snp_ids.append(fields[0])
+        for label, k in labels.items():
+            if fields[k] not in ("0", "1"):
+                raise cr.DataError(f"{path}: line {lineno}: bad rejection flag {fields[k]!r}")
+            masks[label].append(fields[k] == "1")
+    return tuple(snp_ids), {label: np.array(v, dtype=bool) for label, v in masks.items()}
+
+
+def write_truth_rows(truth, study_ids, path):
+    header = ["snp_id"]
+    for sid in study_ids:
+        header += [f"h_{sid}", f"theta_{sid}", f"maf_{sid}"]
+    lines = ["\t".join(header)]
+    for j, snp in enumerate(truth.snp_ids):
+        fields = [snp]
+        for i in range(len(study_ids)):
+            fields += [
+                "%d" % truth.statuses[i, j],
+                "%.17g" % truth.theta[i, j],
+                "%.17g" % truth.maf[i, j],
+            ]
+        lines.append("\t".join(fields))
+    cio._atomic_write(path, "\n".join(lines) + "\n")
+
+
+def read_truth_rows(path):
+    lines = cio._read_lines(path)
+    header = lines[0].split("\t")
+    if header[0] != "snp_id" or (len(header) - 1) % 3 != 0:
+        raise cr.DataError(f"{path}: malformed truth header")
+    study_ids = [name.removeprefix("h_") for name in header[1::3]]
+    n = len(study_ids)
+    snp_ids, statuses, theta, maf = [], [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise cr.DataError(f"{path}: line {lineno}: wrong field count")
+        snp_ids.append(fields[0])
+        statuses.append(
+            [
+                _parse_status(fields[1 + 3 * i], path, lineno, header[1 + 3 * i])
+                for i in range(n)
+            ]
+        )
+        theta.append(
+            [_parse_float(fields[2 + 3 * i], path, lineno, header[2 + 3 * i]) for i in range(n)]
+        )
+        maf.append(
+            [_parse_float(fields[3 + 3 * i], path, lineno, header[3 + 3 * i]) for i in range(n)]
+        )
+    truth = cr.TruthPanel(
+        tuple(snp_ids),
+        np.array(statuses, dtype=np.int8).T,
+        np.array(theta).T,
+        np.array(maf).T,
+    )
+    return truth, study_ids

@@ -136,6 +136,16 @@ class TestAnalyze:
         assert "last relative change" in err
         assert not json.loads((tmp_path / "model.json").read_text())["converged"]
 
+    def test_unconverged_em_is_in_the_run_record(self, sim_dir, tmp_path, capsys):
+        code = run(
+            ["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path,
+             "--em-max-iter", 3]
+        )
+        assert code == 0
+        (warning,) = json.loads((tmp_path / "analyze.run.json").read_text())["warnings"]
+        assert warning.startswith("EM did not converge in 3 iterations")
+        assert f"warning: {warning}\n" in capsys.readouterr().err
+
     def test_na_only_on_single_study(self, tmp_path):
         rng = np.random.default_rng(2)
         z = np.concatenate([rng.normal(size=1800), rng.normal(3, 1, size=200)])
@@ -253,6 +263,15 @@ class TestErrorChannels:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_uncreatable_out_dir_is_config_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "file.txt" / "sub"
+        (tmp_path / "file.txt").write_text("not a directory\n")
+        code = run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot create output directory: ")
+        assert "Traceback" not in err
+
     def test_bad_bin_count_is_config_error(self, sim_dir, tmp_path, capsys):
         code = run(
             ["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path,
@@ -284,6 +303,20 @@ class TestRunRecords:
         assert set(record["versions"]) == {"crossrep", "numpy", "scipy"}
         assert record["parameters"]["bins"] == 50
         assert record["parameters"]["q"] == 0.05
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "compare", "evaluate"])
+    def test_records_list_no_warnings_when_there_are_none(self, sim_dir, tmp_path, command):
+        argv = {
+            "simulate": ["simulate", "--snps", 500],
+            "analyze": ["analyze", "--input", sim_dir / "zpanel.tsv"],
+            "compare": ["compare", "--input", sim_dir / "zpanel.tsv"],
+            "evaluate": ["evaluate", "--report", tmp_path / "report_meta.tsv",
+                         "--truth", sim_dir / "truth.tsv"],
+        }[command]
+        run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        assert run(argv + ["--out-dir", tmp_path]) == 0
+        record = json.loads((tmp_path / f"{command}.run.json").read_text())
+        assert record["warnings"] == []
 
     def test_simulate_record_notes_statistic(self, sim_dir):
         record = json.loads((sim_dir / "simulate.run.json").read_text())

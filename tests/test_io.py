@@ -1,8 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossrep.io as cio
-from crossrep import DataError, ZPanel, default_design, draw_truth
+from crossrep import DataError, TruthPanel, ZPanel, default_design, draw_truth
+from crossrep.multistudy import DiscoveryReport
+
+import helpers
 
 
 def small_panel():
@@ -78,6 +86,19 @@ class TestTruthAndDesignIO:
         with pytest.raises(DataError, match=r"truth\.tsv: line 3: column 'h_s2'"):
             cio.read_truth(path)
 
+    @pytest.mark.parametrize("column", ["h_s2", "theta_s2", "maf_s2"])
+    def test_bad_cell_names_its_header(self, tmp_path, column):
+        design = default_design(n_snps=5, seed=2)
+        path = tmp_path / "truth.tsv"
+        cio.write_truth(draw_truth(design), ("s1", "s2", "s3"), path)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split("\t")
+        fields[lines[0].split("\t").index(column)] = "oops"
+        lines[3] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"truth\.tsv: line 4: column '{column}': 'oops'"):
+            cio.read_truth(path)
+
     def test_design_roundtrip(self):
         design = default_design(n_snps=123, seed=9)
         back = cio.design_from_payload(cio.design_payload(design))
@@ -141,3 +162,235 @@ class TestUnreadableInput:
         path.write_text("{not json")
         with pytest.raises(DataError, match="not valid JSON"):
             cio.read_json(path)
+
+
+# Columnar codec against the row-by-row oracles in helpers.
+
+IDS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOAT = st.floats()
+
+
+@st.composite
+def id_lists(draw, min_size=1):
+    return draw(st.lists(IDS, min_size=min_size, max_size=12, unique=True))
+
+
+@st.composite
+def panels(draw):
+    snp_ids = draw(id_lists())
+    study_ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+    values = draw(st.lists(FINITE, min_size=len(snp_ids) * len(study_ids),
+                           max_size=len(snp_ids) * len(study_ids)))
+    z = np.array(values, dtype=float).reshape(len(study_ids), len(snp_ids))
+    return ZPanel(tuple(snp_ids), tuple(study_ids), z)
+
+
+@st.composite
+def truths(draw):
+    snp_ids = draw(id_lists(min_size=0))
+    n, m = draw(st.integers(1, 8)), len(snp_ids)
+    statuses = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n * m,
+                                      max_size=n * m)), dtype=np.int8).reshape(n, m)
+    size = st.floats(min_value=5e-324, allow_infinity=False)
+    magnitude = np.array(draw(st.lists(size, min_size=n * m, max_size=n * m)))
+    maf = np.array(draw(st.lists(FINITE, min_size=n * m, max_size=n * m)))
+    truth = TruthPanel(tuple(snp_ids), statuses, statuses * magnitude.reshape(n, m),
+                       maf.reshape(n, m))
+    return truth, [f"s{i + 1}" for i in range(n)]
+
+
+@st.composite
+def report_columns(draw):
+    snp_ids = draw(id_lists(min_size=0))
+    m = len(snp_ids)
+    labels = draw(st.lists(st.sampled_from(["nr", "na", "x"]), min_size=1, max_size=3,
+                           unique=True))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=m, max_size=m)))
+
+    return snp_ids, {
+        label: (column(ANY_FLOAT), column(ANY_FLOAT), column(st.booleans()).astype(bool))
+        for label in labels
+    }
+
+
+def exact(a, b):
+    """Same dtype, shape, memory layout and bits (so -0.0 differs from 0.0)."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes("A") == b.tobytes("A"))
+
+
+class TestColumnarCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels())
+    def test_zpanel_matches_row_oracle_and_roundtrips(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+            cio.write_zpanel(panel, new)
+            helpers.write_zpanel_rows(panel, old)
+            assert new.read_bytes() == old.read_bytes()
+            back, ref = cio.read_zpanel(new), helpers.read_zpanel_rows(new)
+        assert back.snp_ids == ref.snp_ids == panel.snp_ids
+        assert back.study_ids == ref.study_ids == panel.study_ids
+        assert exact(back.z, ref.z)
+        assert back.z.tobytes() == panel.z.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(truth_and_ids=truths())
+    def test_truth_matches_row_oracle_and_roundtrips(self, truth_and_ids):
+        truth, study_ids = truth_and_ids
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+            cio.write_truth(truth, study_ids, new)
+            helpers.write_truth_rows(truth, study_ids, old)
+            assert new.read_bytes() == old.read_bytes()
+            (back, ids), (ref, ref_ids) = cio.read_truth(new), helpers.read_truth_rows(new)
+        assert ids == ref_ids == study_ids
+        assert back.snp_ids == ref.snp_ids == truth.snp_ids
+        for name in ("statuses", "theta", "maf"):
+            if truth.n_snps:  # the row oracle cannot shape an empty body
+                assert exact(getattr(back, name), getattr(ref, name))
+            assert getattr(back, name).tobytes() == getattr(truth, name).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids_and_columns=report_columns())
+    def test_reports_match_row_oracles_and_roundtrip(self, ids_and_columns):
+        snp_ids, columns = ids_and_columns
+        reports = {
+            label: DiscoveryReport(None, 0.05, lf, fdr, 0.0, rej)
+            for label, (lf, fdr, rej) in columns.items()
+        }
+        comparison = {
+            label: {"p": p, "p_adjusted": adj, "rejected": rej}
+            for label, (p, adj, rej) in columns.items()
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for write, oracle, payload in (
+                (cio.write_analysis_report, helpers.write_analysis_report_rows, reports),
+                (cio.write_comparison_report, helpers.write_comparison_report_rows,
+                 comparison),
+            ):
+                new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+                write(new, snp_ids, payload)
+                oracle(old, snp_ids, payload)
+                assert new.read_bytes() == old.read_bytes()
+                back_ids, masks = cio.read_report_rejections(new)
+                ref_ids, ref_masks = helpers.read_report_rejections_rows(new)
+                assert back_ids == ref_ids == tuple(snp_ids)
+                assert list(masks) == list(ref_masks) == list(columns)
+                for label, (_, _, rejected) in columns.items():
+                    assert exact(masks[label], ref_masks[label])
+                    assert masks[label].tolist() == rejected.tolist()
+
+
+def base_files(tmp_path):
+    """A valid zpanel, truth and report file, each with five data lines."""
+    rng = np.random.default_rng(4)
+    ids = tuple(f"rs{j}" for j in range(5))
+    zpanel, truth, report = (tmp_path / n for n in ("z.tsv", "truth.tsv", "rep.tsv"))
+    cio.write_zpanel(ZPanel(ids, ("a", "b", "c"), rng.normal(size=(3, 5))), zpanel)
+    statuses = np.array([[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]], dtype=np.int8)
+    cio.write_truth(TruthPanel(ids, statuses, statuses * 0.3, np.full((2, 5), 0.2)),
+                    ("s1", "s2"), truth)
+    flags = np.array([True, False, True, False, False])
+    cio.write_comparison_report(report, ids, {
+        label: {"p": rng.uniform(size=5), "p_adjusted": rng.uniform(size=5),
+                "rejected": flags}
+        for label in ("nr", "na")
+    })
+    return {"zpanel": zpanel, "truth": truth, "report": report}
+
+
+READERS = {
+    "zpanel": (cio.read_zpanel, helpers.read_zpanel_rows),
+    "truth": (cio.read_truth, helpers.read_truth_rows),
+    "report": (cio.read_report_rejections, helpers.read_report_rejections_rows),
+}
+
+# (reader, fault, column the token goes to, token); column None edits the line.
+FAULTS = [
+    (reader, fault, None, None)
+    for reader in READERS
+    for fault in ("blank line", "missing field", "extra field")
+] + [
+    ("zpanel", "non-number", 2, "oops"),
+    ("zpanel", "empty cell", 1, ""),
+    ("zpanel", "non-finite", 3, "inf"),
+    ("zpanel", "nan", 2, "nan"),
+    ("truth", "non-number", 3, "1.2.3"),
+    ("truth", "non-finite", 6, "-inf"),
+    ("truth", "bad status", 4, "2"),
+    ("truth", "fractional status", 1, "1.0"),
+    ("report", "bad flag", 3, "yes"),
+    ("report", "numeric flag", 6, "1.0"),
+]
+
+
+def inject(path, lineno, fault, column, token):
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split("\t")
+    if fault == "blank line":
+        fields = [""]
+    elif fault == "missing field":
+        fields = fields[:-1]
+    elif fault == "extra field":
+        fields = fields + ["0"]
+    else:
+        fields[column] = token
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def outcome(reader, path):
+    try:
+        reader(path)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("lineno", [2, 5], ids=["first", "later"])
+    @pytest.mark.parametrize("reader,fault,column,token", FAULTS)
+    def test_message_matches_row_oracle(self, tmp_path, reader, fault, column, token,
+                                        lineno):
+        path = base_files(tmp_path)[reader]
+        inject(path, lineno, fault, column, token)
+        new, oracle = READERS[reader]
+        message = outcome(new, path)
+        assert message is not None and f": line {lineno}: " in message
+        assert message == outcome(oracle, path)
+
+    @pytest.mark.parametrize(
+        "reader,faults",
+        [
+            # A bad cell on an earlier line wins over a bad line later on.
+            ("zpanel", [(4, "blank line", None, None), (3, "non-number", 1, "x")]),
+            ("truth", [(6, "missing field", None, None), (2, "non-finite", 5, "nan")]),
+            ("report", [(5, "extra field", None, None), (4, "bad flag", 6, "2")]),
+            # Within a line: columns left to right; truth statuses before theta/maf.
+            ("zpanel", [(3, "non-finite", 3, "inf"), (3, "non-number", 2, "x")]),
+            ("truth", [(3, "non-number", 2, "x"), (3, "bad status", 4, "9")]),
+            ("truth", [(3, "non-number", 6, "x"), (3, "non-finite", 3, "inf")]),
+        ],
+    )
+    def test_first_fault_in_reading_order(self, tmp_path, reader, faults):
+        path = base_files(tmp_path)[reader]
+        for lineno, fault, column, token in faults:
+            inject(path, lineno, fault, column, token)
+        new, oracle = READERS[reader]
+        message = outcome(new, path)
+        assert message is not None and message == outcome(oracle, path)
+
+    def test_field_counts_are_checked_per_line(self, tmp_path):
+        # One short and one long line keep the token total; with numeric
+        # ids the shifted columns would still parse.
+        path = tmp_path / "z.tsv"
+        path.write_text("snp_id\ta\tb\n1\t0.5\n2\t0.25\t0.75\t3\n")
+        message = outcome(cio.read_zpanel, path)
+        assert message == f"{path}: line 2: expected 3 fields, got 2"
+        assert message == outcome(helpers.read_zpanel_rows, path)
