@@ -40,18 +40,15 @@ from .twogroup import (
     fit_study,
     local_fdr_single,
     null_bin_density,
-    study_qualifies,
 )
 from .multistudy import (
     ConditionalBinDensities,
     ConfigModel,
     DiscoveryReport,
     build_conditionals,
-    config_likelihood,
     em_fit,
     fdr_report,
     local_fdr_panel,
-    local_fdr_set,
     oracle_report,
     posterior,
 )
@@ -59,12 +56,7 @@ from .metap import (
     PValueVector,
     bh_adjust,
     bh_procedure,
-    concordant_meta_pvalue,
-    concordant_meta_pvalues,
-    fisher_combine,
-    no_association_pvalue,
     no_association_pvalues,
-    no_replicability_pvalue,
     no_replicability_pvalues,
 )
 from .sim import (
@@ -78,7 +70,6 @@ from .sim import (
     pearson_statistic,
     simulate_panel,
     simulate_study,
-    z_from_table,
     z_from_tables,
     z_from_tables_contingency,
 )

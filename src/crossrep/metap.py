@@ -39,25 +39,11 @@ class PValueVector:
         object.__setattr__(self, "values", values)
 
 
-def fisher_combine(p) -> float:
-    """Fisher's combination: chi-square upper tail of -2 * sum(log p).
-
-    Exact zeros are floored at 1e-300 before taking logs.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 0:
-        raise ValueError("cannot combine an empty set of p-values")
-    if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
-        raise ValueError("p-values must lie in [0, 1]")
-    stat = -2.0 * np.log(np.maximum(p, P_FLOOR)).sum()
-    return float(chdtrc(2 * p.size, stat))
-
-
 def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fisher-combined left- and right-sided p-values by study subset sums.
 
     z has shape (k, M); returns two (M,) vectors. Log CDFs keep extreme
-    z-scores finite; the same 1e-300 floor as fisher_combine applies.
+    z-scores finite; tail probabilities are floored at 1e-300.
     """
     log_left = np.maximum(log_ndtr(z), _LOG_FLOOR)
     log_right = np.maximum(log_ndtr(-z), _LOG_FLOOR)
@@ -67,33 +53,22 @@ def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def concordant_meta_pvalues(z: np.ndarray) -> np.ndarray:
-    """Two-sided concordant combination per feature: 2 * min(left, right), capped.
-
-    z has shape (k, M) with one row per study.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+def _concordant(z: np.ndarray) -> np.ndarray:
     if z.shape[0] < 1 or z.shape[1] < 1:
         raise ValueError("need at least one study and one feature")
     left, right = _combined_tails(z)
     return np.minimum(1.0, 2.0 * np.minimum(left, right))
 
 
-def concordant_meta_pvalue(z) -> float:
-    """Scalar form of concordant_meta_pvalues for one feature's z-scores."""
-    z = np.asarray(z, dtype=float).ravel()
-    return float(concordant_meta_pvalues(z[:, None])[0])
-
-
 def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
-    """Concordant meta-analysis p-value over all studies, per feature."""
-    z = np.atleast_2d(np.asarray(z_panel, dtype=float))
-    return concordant_meta_pvalues(z)
+    """Concordant meta-analysis p-value over all studies, per feature.
 
-
-def no_association_pvalue(z) -> float:
-    z = np.asarray(z, dtype=float).ravel()
-    return float(no_association_pvalues(z[:, None])[0])
+    z_panel has shape (k, M) with one row per study; the p-value is
+    2 * min(left, right) of the Fisher combinations, capped at 1. The
+    panel keeps its memory layout: at k = 8 the summation order, and so
+    the last bits of the result, depend on it.
+    """
+    return _concordant(np.atleast_2d(np.asarray(z_panel, dtype=float)))
 
 
 def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
@@ -110,14 +85,9 @@ def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     for drop in range(n):
         keep[drop] = False
-        np.maximum(out, concordant_meta_pvalues(z[keep]), out=out)
+        np.maximum(out, _concordant(z[keep]), out=out)
         keep[drop] = True
     return out
-
-
-def no_replicability_pvalue(z) -> float:
-    z = np.asarray(z, dtype=float).ravel()
-    return float(no_replicability_pvalues(z[:, None])[0])
 
 
 def bh_procedure(p, q: float) -> np.ndarray:

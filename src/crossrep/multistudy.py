@@ -63,9 +63,6 @@ class ConditionalBinDensities:
     def bin_count(self) -> int:
         return self.probs.shape[2]
 
-    def status_vector(self, study: int, status: int) -> np.ndarray:
-        return self.probs[study, status + 1]
-
     def validate_truncation(self) -> None:
         """Check the half-line support constraints on the signed vectors."""
         pos = self.probs[:, 2, :]
@@ -95,26 +92,19 @@ def build_conditionals(
         centers = binned.centers[i]
         phi = normal_pdf(centers)
         probs[i, 1] = phi / phi.sum()
-        pos = np.where(centers > 0, fit.fA_hat, 0.0)
-        neg = np.where(centers < 0, fit.fA_hat, 0.0)
-        if pos.sum() <= 0:
-            raise DegenerateAlternativeError(
-                f"study {fit.study_id!r}: alternative density has no mass on z > 0"
-            )
-        if neg.sum() <= 0:
-            raise DegenerateAlternativeError(
-                f"study {fit.study_id!r}: alternative density has no mass on z < 0"
-            )
-        probs[i, 2] = pos / pos.sum()
-        probs[i, 0] = neg / neg.sum()
+        for s, side in ((1, "z > 0"), (-1, "z < 0")):
+            w = _half_line(fit.fA_hat, centers, s)
+            if w.sum() <= 0:
+                raise DegenerateAlternativeError(
+                    f"study {fit.study_id!r}: alternative density has no mass on {side}"
+                )
+            probs[i, s + 1] = w / w.sum()
     return ConditionalBinDensities(binned.centers.copy(), probs)
 
 
-def config_likelihood(snp_bins, h, cond: ConditionalBinDensities) -> float:
-    """Probability of one feature's bin vector under configuration h."""
-    if len(snp_bins) != cond.n_studies or len(h) != cond.n_studies:
-        raise DataError("bin vector, configuration and densities disagree on n")
-    return float(np.prod(cond.probs[np.arange(cond.n_studies), np.add(h, 1), snp_bins]))
+def _half_line(values: np.ndarray, centers: np.ndarray, status: int) -> np.ndarray:
+    """values on the half-line of a signed status (z > 0 for +1, z < 0 for -1), else 0."""
+    return np.where(status * centers > 0, values, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,14 +282,6 @@ def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     return weights / total
 
 
-def local_fdr_set(snp_bins, model: ConfigModel, null_set: HypothesisSet) -> float:
-    """Posterior probability that the configuration lies in the null subset."""
-    if null_set.n != model.n_studies:
-        raise DataError("hypothesis set and model disagree on the study count")
-    post = posterior(snp_bins, model)
-    return float(min(1.0, post[list(null_set.members)].sum()))
-
-
 def local_fdr_panel(
     binned: BinnedPanel,
     model: ConfigModel,
@@ -403,10 +385,8 @@ def _empirical_conditionals(
                 probs[i, s + 1] = freq / freq.sum()
             else:
                 w = normal_pdf(centers)
-                if s == 1:
-                    w = np.where(centers > 0, w, 0.0)
-                elif s == -1:
-                    w = np.where(centers < 0, w, 0.0)
+                if s:
+                    w = _half_line(w, centers, s)
                 if w.sum() <= 0:
                     raise ModelError("cannot build a fallback conditional density")
                 probs[i, s + 1] = w / w.sum()

@@ -231,10 +231,6 @@ def z_from_tables(tables: np.ndarray) -> np.ndarray:
     return z[0] if squeeze else z
 
 
-def z_from_table(table) -> float:
-    return float(z_from_tables(np.asarray(table)))
-
-
 def pearson_statistic(tables: np.ndarray) -> np.ndarray:
     """Pearson chi-square statistic (2 df) for a stack of 2x3 tables."""
     t = np.asarray(tables, dtype=float)

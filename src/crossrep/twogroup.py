@@ -79,14 +79,6 @@ class ZPanel:
     def n_snps(self) -> int:
         return len(self.snp_ids)
 
-    def select_studies(self, indices) -> "ZPanel":
-        indices = list(indices)
-        return ZPanel(
-            self.snp_ids,
-            tuple(self.study_ids[i] for i in indices),
-            self.z[indices, :],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class BinnedPanel:
@@ -302,11 +294,6 @@ class TwoGroupFit:
     fA_hat: np.ndarray | None
     qualifies: bool
     exclusion_reason: str | None = None
-
-
-def study_qualifies(fit: TwoGroupFit, threshold: float = DEFAULT_EXCLUSION_THRESHOLD) -> bool:
-    """True when the estimated null fraction is below the exclusion threshold."""
-    return fit.pi0_hat < threshold
 
 
 def local_fdr_single(z_bin: int, fit: TwoGroupFit) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.special import chdtrc
 
 import crossrep as cr
 import crossrep.io as cio
@@ -174,6 +175,64 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
             n_exact += cand.size
             best = max(best, float(lls.max()))
     return best, n_exact, n_total
+
+
+# Scalar and duplicate views of the vectorized library functions, kept as
+# reference oracles for the tests.
+
+concordant_meta_pvalues = cr.no_association_pvalues
+
+
+def concordant_meta_pvalue(z):
+    """Concordant meta-analysis p-value for one feature's z-scores."""
+    z = np.asarray(z, dtype=float).ravel()
+    return float(cr.no_association_pvalues(z[:, None])[0])
+
+
+no_association_pvalue = concordant_meta_pvalue
+
+
+def no_replicability_pvalue(z):
+    z = np.asarray(z, dtype=float).ravel()
+    return float(cr.no_replicability_pvalues(z[:, None])[0])
+
+
+def fisher_combine(p):
+    """Fisher's combination: chi-square upper tail of -2 * sum(log p).
+
+    Exact zeros are floored at 1e-300 before taking logs.
+    """
+    p = np.asarray(p, dtype=float).ravel()
+    if p.size == 0:
+        raise ValueError("cannot combine an empty set of p-values")
+    if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
+        raise ValueError("p-values must lie in [0, 1]")
+    stat = -2.0 * np.log(np.maximum(p, cr.metap.P_FLOOR)).sum()
+    return float(chdtrc(2 * p.size, stat))
+
+
+def z_from_table(table):
+    return float(cr.z_from_tables(np.asarray(table)))
+
+
+def study_qualifies(fit, threshold=cr.twogroup.DEFAULT_EXCLUSION_THRESHOLD):
+    """True when the estimated null fraction is below the exclusion threshold."""
+    return fit.pi0_hat < threshold
+
+
+def config_likelihood(snp_bins, h, cond):
+    """Probability of one feature's bin vector under configuration h."""
+    if len(snp_bins) != cond.n_studies or len(h) != cond.n_studies:
+        raise cr.DataError("bin vector, configuration and densities disagree on n")
+    return float(np.prod(cond.probs[np.arange(cond.n_studies), np.add(h, 1), snp_bins]))
+
+
+def local_fdr_set(snp_bins, model, null_set):
+    """Posterior probability that the configuration lies in the null subset."""
+    if null_set.n != model.n_studies:
+        raise cr.DataError("hypothesis set and model disagree on the study count")
+    post = cr.posterior(snp_bins, model)
+    return float(min(1.0, post[list(null_set.members)].sum()))
 
 
 def gather_likelihood_matrix(cond, status_idx, combos):

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from crossrep import ZPanel
-from crossrep.cli import main
+from crossrep.cli import build_parser, main
 from crossrep.io import read_zpanel, write_zpanel
 
 
@@ -54,6 +55,14 @@ class TestSimulate:
         design = json.loads((tmp_path / "design.json").read_text())
         assert design["n_snps"] == 500
         assert design["seed"] == 99
+
+    def test_replay_records_the_design_seed_and_size(self, sim_dir, tmp_path):
+        code = run(
+            ["simulate", "--design", sim_dir / "design.json", "--out-dir", tmp_path]
+        )
+        assert code == 0
+        params = json.loads((tmp_path / "simulate.run.json").read_text())["parameters"]
+        assert params == {"snps": 2000, "seed": 7, "statistic": "contingency"}
 
 
 class TestFit:
@@ -286,12 +295,45 @@ class TestErrorChannels:
         )
         assert code == 2
 
-    def test_threads_flag_is_accepted(self, sim_dir, tmp_path):
-        code = run(
-            ["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path,
-             "--threads", "4"]
-        )
-        assert code == 0
+
+
+SURFACE = {
+    "fit": ["--input", "--out-dir", "--bins", "--exclude-threshold"],
+    "analyze": ["--input", "--out-dir", "--bins", "--q", "--hypothesis", "--em-tol",
+                "--em-max-iter", "--exclude-threshold"],
+    "compare": ["--input", "--out-dir", "--q", "--hypothesis"],
+    "simulate": ["--design", "--snps", "--seed", "--statistic", "--out-dir"],
+    "evaluate": ["--report", "--truth", "--out-dir"],
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_each_command_takes_only_its_own_flags(self, command):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = [
+            opt
+            for action in commands.choices[command]._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        ]
+        assert sorted(options) == sorted(SURFACE[command])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--input", "panel.tsv", "--out-dir", "out", "--threads", "4"],
+            ["evaluate", "--report", "r.tsv", "--truth", "t.tsv", "--out-dir", "out",
+             "--q", "0.1"],
+        ],
+    )
+    def test_foreign_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRunRecords:
@@ -321,3 +363,30 @@ class TestRunRecords:
     def test_simulate_record_notes_statistic(self, sim_dir):
         record = json.loads((sim_dir / "simulate.run.json").read_text())
         assert record["parameters"]["statistic"] == "contingency"
+
+    @pytest.mark.parametrize("command", ["fit", "analyze", "compare", "simulate", "evaluate"])
+    def test_record_parameters_are_the_commands_own_flags(self, sim_dir, tmp_path, command):
+        argv = {
+            "fit": ["fit", "--input", sim_dir / "zpanel.tsv"],
+            "analyze": ["analyze", "--input", sim_dir / "zpanel.tsv"],
+            "compare": ["compare", "--input", sim_dir / "zpanel.tsv"],
+            "simulate": ["simulate", "--snps", 500],
+            "evaluate": ["evaluate", "--report", tmp_path / "report_meta.tsv",
+                         "--truth", sim_dir / "truth.tsv"],
+        }[command]
+        run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        assert run(argv + ["--out-dir", tmp_path]) == 0
+        record = json.loads((tmp_path / f"{command}.run.json").read_text())
+        files = {"--input", "--out-dir", "--design", "--report", "--truth"}
+        flags = {f[2:].replace("-", "_") for f in SURFACE[command] if f not in files}
+        assert set(record["parameters"]) == flags
+
+    def test_library_warnings_reach_the_record_once_per_study(self, tmp_path, capsys):
+        run(["simulate", "--out-dir", tmp_path / "sim", "--snps", 500, "--seed", 1])
+        code = run(["analyze", "--input", tmp_path / "sim" / "zpanel.tsv", "--out-dir", tmp_path])
+        assert code == 0
+        notes = json.loads((tmp_path / "analyze.run.json").read_text())["warnings"]
+        assert notes == ["null-fraction estimate from only 500 z-scores is unstable"] * 3
+        err = capsys.readouterr().err
+        assert "UserWarning" not in err
+        assert err.count("warning: null-fraction estimate from only 500") == 3

@@ -9,13 +9,15 @@ from crossrep import (
     PValueVector,
     bh_adjust,
     bh_procedure,
+    no_association_pvalues,
+    no_replicability_pvalues,
+)
+from helpers import (
     concordant_meta_pvalue,
     concordant_meta_pvalues,
     fisher_combine,
     no_association_pvalue,
-    no_association_pvalues,
     no_replicability_pvalue,
-    no_replicability_pvalues,
 )
 
 

@@ -17,17 +17,21 @@ from crossrep import (
     DegenerateAlternativeError,
     ModelError,
     build_conditionals,
-    config_likelihood,
     em_fit,
     fdr_report,
     local_fdr_panel,
-    local_fdr_set,
     oracle_report,
     posterior,
 )
 from crossrep.multistudy import _empirical_conditionals
 from crossrep.twogroup import BinnedPanel
-from helpers import gather_likelihood_matrix, unique_rows_collapse
+from helpers import (
+    config_likelihood,
+    gather_likelihood_matrix,
+    local_fdr_set,
+    run_empirical_bayes,
+    unique_rows_collapse,
+)
 
 NA = cr.HypothesisKind.NO_ASSOCIATION
 NR = cr.HypothesisKind.NO_REPLICABILITY
@@ -425,6 +429,46 @@ class TestCollapsedLikelihood:
             assert np.array_equal(
                 local_fdr_panel(other, model, ns), local_fdr_panel(other, uncached, ns)
             )
+
+
+class TestModelInvariances:
+    """The model has no study order and no preferred sign.
+
+    Panels are simulated from a seed rather than drawn as raw z values, so
+    no value sits on a bin edge, where mirrored or reordered grids may
+    round a value into the neighbouring bin.
+    """
+
+    @staticmethod
+    def local_fdrs(panel):
+        reports, included, _ = run_empirical_bayes(panel)
+        return {label: rep.local_fdr for label, rep in reports.items()}, included
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(1, 10_000), order=st.permutations(range(3)))
+    def test_local_fdr_is_invariant_to_study_order(self, seed, order):
+        panel, _ = cr.simulate_panel(cr.default_design(4000, seed=seed))
+        lf, included = self.local_fdrs(panel)
+        reordered = cr.ZPanel(
+            panel.snp_ids, [panel.study_ids[i] for i in order], panel.z[order]
+        )
+        lf_reordered, included_reordered = self.local_fdrs(reordered)
+        assert sorted(order[i] for i in included_reordered) == included
+        assert set(lf) == set(lf_reordered) and "na" in lf
+        for label in lf:
+            assert_allclose(lf_reordered[label], lf[label], rtol=0, atol=1e-9)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(1, 10_000))
+    def test_local_fdr_is_invariant_to_a_sign_flip(self, seed):
+        panel, _ = cr.simulate_panel(cr.default_design(4000, seed=seed))
+        lf, included = self.local_fdrs(panel)
+        flipped = cr.ZPanel(panel.snp_ids, panel.study_ids, -panel.z)
+        lf_flipped, included_flipped = self.local_fdrs(flipped)
+        assert included_flipped == included
+        assert set(lf) == set(lf_flipped) and "na" in lf
+        for label in lf:
+            assert_allclose(lf_flipped[label], lf[label], rtol=0, atol=1e-9)
 
 
 class TestFdrReport:

@@ -15,11 +15,11 @@ from crossrep import (
     pearson_statistic,
     simulate_panel,
     simulate_study,
-    z_from_table,
     z_from_tables,
     z_from_tables_contingency,
 )
 from crossrep.sim import case_control_dose_probs, disease_prob_per_dose
+from helpers import z_from_table
 
 NA = cr.HypothesisKind.NO_ASSOCIATION
 NR = cr.HypothesisKind.NO_REPLICABILITY

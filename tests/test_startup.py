@@ -17,8 +17,8 @@ from scipy.special import chdtr, chdtrc, log_ndtr, ndtri
 from scipy.stats import chi2, norm
 
 import crossrep
-from crossrep import concordant_meta_pvalues, fisher_combine
 from crossrep.twogroup import normal_pdf
+from helpers import concordant_meta_pvalues, fisher_combine
 
 
 def bits(values):

@@ -17,9 +17,9 @@ from crossrep import (
     fit_study,
     local_fdr_single,
     null_bin_density,
-    study_qualifies,
 )
 from crossrep.twogroup import DEFAULT_EXCLUSION_THRESHOLD, assign_bins
+from helpers import study_qualifies
 
 
 def make_panel(z_rows, ids=None):
