@@ -17,6 +17,7 @@ from .configspace import (
     is_null_member,
     no_replicability_size,
     null_subset,
+    null_truth_mask,
 )
 from .errors import (
     ConfigError,
@@ -53,7 +54,6 @@ from .multistudy import (
     posterior,
 )
 from .metap import (
-    PValueVector,
     bh_adjust,
     bh_procedure,
     no_association_pvalues,
@@ -66,7 +66,6 @@ from .sim import (
     default_design,
     draw_truth,
     evaluate,
-    null_truth_mask,
     pearson_statistic,
     simulate_panel,
     simulate_study,

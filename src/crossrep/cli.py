@@ -54,34 +54,38 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_record(out: Path, command: str, params: dict, inputs: dict, notes: list[str]):
-    record = io.run_record(command, params, inputs)
+# A run record's parameters are the parsed flags except these.
+_NOT_PARAMETERS = {"command", "func", "input", "out_dir", "design", "report", "truth"}
+
+
+def _write_record(out: Path, args, inputs: dict, notes: list[str]):
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    record = io.run_record(args.command, params, inputs)
     record["warnings"] += notes
-    io.write_json(out / f"{command}.run.json", record)
+    io.write_json(out / f"{args.command}.run.json", record)
 
 
 # Each command gets the parsed flags and the output directory, and returns
-# its run record's parameters and the input files to digest.
+# the input files to digest.
 
-def cmd_fit(args, out: Path) -> tuple[dict, dict]:
+def cmd_fit(args, out: Path) -> dict:
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
-    fits = twogroup.fit_panel(panel, binned, args.exclude_threshold)
+    fits = twogroup.fit_panel(panel, binned)
     io.write_json(out / "fits.json", io.fits_payload(fits, binned))
     for fit in fits:
         if fit.qualifies:
             print(f"{fit.study_id}: pi0_hat={fit.pi0_hat:.4f}")
         else:
             print(f"{fit.study_id}: excluded ({fit.exclusion_reason})")
-    params = {"bins": args.bins, "exclude_threshold": args.exclude_threshold}
-    return params, {"zpanel": args.input}
+    return {"zpanel": args.input}
 
 
-def cmd_analyze(args, out: Path) -> tuple[dict, dict]:
+def cmd_analyze(args, out: Path) -> dict:
     labels = _labels(args.hypothesis)
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
-    fits = twogroup.fit_panel(panel, binned, args.exclude_threshold)
+    fits = twogroup.fit_panel(panel, binned)
     included = [i for i, fit in enumerate(fits) if fit.qualifies]
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
@@ -125,18 +129,10 @@ def cmd_analyze(args, out: Path) -> tuple[dict, dict]:
     io.write_analysis_report(out / "report_eb.tsv", panel.snp_ids, reports)
     for label, rep in reports.items():
         print(f"{label}: rejected {rep.n_rejected} of {panel.n_snps} at q={args.q}")
-    params = {
-        "bins": args.bins,
-        "q": args.q,
-        "hypothesis": args.hypothesis,
-        "em_tol": args.em_tol,
-        "em_max_iter": args.em_max_iter,
-        "exclude_threshold": args.exclude_threshold,
-    }
-    return params, {"zpanel": args.input}
+    return {"zpanel": args.input}
 
 
-def cmd_compare(args, out: Path) -> tuple[dict, dict]:
+def cmd_compare(args, out: Path) -> dict:
     labels = _labels(args.hypothesis)
     panel = io.read_zpanel(args.input)
     if "nr" in labels and panel.n_studies < 2:
@@ -155,29 +151,27 @@ def cmd_compare(args, out: Path) -> tuple[dict, dict]:
     io.write_comparison_report(out / "report_meta.tsv", panel.snp_ids, columns)
     for label, col in columns.items():
         print(f"{label}: rejected {int(col['rejected'].sum())} of {panel.n_snps}")
-    return {"q": args.q, "hypothesis": args.hypothesis}, {"zpanel": args.input}
+    return {"zpanel": args.input}
 
 
-def cmd_simulate(args, out: Path) -> tuple[dict, dict]:
+def cmd_simulate(args, out: Path) -> dict:
     if args.design:
         design = io.design_from_payload(io.read_json(args.design))
     else:
         design = sim.default_design()
-    overrides = {"n_snps": args.snps, "seed": args.seed}
-    design = dataclasses.replace(
-        design, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    # the record keeps the values the panel is drawn with, also when a saved design supplies them
+    args.snps = design.n_snps if args.snps is None else args.snps
+    args.seed = design.seed if args.seed is None else args.seed
+    design = dataclasses.replace(design, n_snps=args.snps, seed=args.seed)
     panel, truth = sim.simulate_panel(design, statistic=args.statistic)
     io.write_zpanel(panel, out / "zpanel.tsv")
     io.write_truth(truth, panel.study_ids, out / "truth.tsv")
     io.write_json(out / "design.json", io.design_payload(design))
     print(f"simulated {design.n_snps} snps across {design.n_studies} studies")
-    # the values the panel was drawn with, also when a saved design supplied them
-    params = {"snps": design.n_snps, "seed": design.seed, "statistic": args.statistic}
-    return params, ({"design": args.design} if args.design else {})
+    return {"design": args.design} if args.design else {}
 
 
-def cmd_evaluate(args, out: Path) -> tuple[dict, dict]:
+def cmd_evaluate(args, out: Path) -> dict:
     snp_ids, masks = io.read_report_rejections(args.report)
     truth, _ = io.read_truth(args.truth)
     if snp_ids != truth.snp_ids:
@@ -192,17 +186,7 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict]:
     io.write_json(out / "metrics.json", metrics)
     for label, m in metrics.items():
         print(f"{label}: R={m['n_rejected']} FDP={m['fdp']:.4f} power={m['power']:.4f}")
-    return {}, {"report": args.report, "truth": args.truth}
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
-    parser.add_argument(
-        "--exclude-threshold",
-        type=float,
-        default=twogroup.DEFAULT_EXCLUSION_THRESHOLD,
-        help="studies with pi0_hat at or above this are dropped",
-    )
+    return {"report": args.report, "truth": args.truth}
 
 
 def _add_level_flags(parser: argparse.ArgumentParser) -> None:
@@ -219,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="per-study two-group fits")
     p_fit.add_argument("--input", required=True, help="z-score panel TSV")
-    _add_fit_flags(p_fit)
+    p_fit.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
     p_fit.set_defaults(func=cmd_fit)
 
     p_an = sub.add_parser("analyze", help="empirical Bayes discovery reports")
     p_an.add_argument("--input", required=True, help="z-score panel TSV")
-    _add_fit_flags(p_an)
+    p_an.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
     _add_level_flags(p_an)
     p_an.add_argument("--em-tol", type=float, default=multistudy.EM_DEFAULT_TOL)
     p_an.add_argument("--em-max-iter", type=int, default=multistudy.EM_DEFAULT_MAX_ITER)
@@ -265,7 +249,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             out = _out_dir(args)
-            params, inputs = args.func(args, out)
+            inputs = args.func(args, out)
         except CrossrepError as exc:
             failure = exc
         else:
@@ -276,7 +260,7 @@ def main(argv=None) -> int:
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return failure.exit_code
-    _write_record(out, args.command, params, inputs, notes)
+    _write_record(out, args, inputs, notes)
     return 0
 
 

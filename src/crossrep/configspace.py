@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError, SizeLimitError
 
 MAX_STUDIES = 8
@@ -70,16 +72,23 @@ def config_from_string(text: str) -> tuple[int, ...]:
         raise ConfigError(f"invalid configuration string {text!r}") from exc
 
 
+def null_truth_mask(statuses, kind: HypothesisKind) -> np.ndarray:
+    """Which columns of an (n, M) status array the named null holds for.
+
+    No association: every study is 0. No replicability: at most one study
+    is +1 and at most one is -1.
+    """
+    statuses = np.asarray(statuses)
+    if kind is HypothesisKind.NO_ASSOCIATION:
+        return np.all(statuses == 0, axis=0)
+    if kind is HypothesisKind.NO_REPLICABILITY:
+        return ((statuses == 1).sum(axis=0) <= 1) & ((statuses == -1).sum(axis=0) <= 1)
+    raise ConfigError("the null predicate is defined only for the named nulls")
+
+
 def is_null_member(h, kind: HypothesisKind) -> bool:
     """Whether configuration h belongs to the named null subset."""
-    h = validate_configuration(h)
-    if kind is HypothesisKind.NO_ASSOCIATION:
-        return all(s == 0 for s in h)
-    if kind is HypothesisKind.NO_REPLICABILITY:
-        n_pos = sum(1 for s in h if s == 1)
-        n_neg = sum(1 for s in h if s == -1)
-        return n_pos <= 1 and n_neg <= 1
-    raise ConfigError("membership predicate is defined only for named nulls")
+    return bool(null_truth_mask(np.array(validate_configuration(h))[:, None], kind)[0])
 
 
 @dataclass(frozen=True)
@@ -123,16 +132,6 @@ class HypothesisSet:
         space = enumerate_configurations(self.n)
         return tuple(space[i] for i in self.members)
 
-    def member_strings(self) -> list[str]:
-        return [config_to_string(h) for h in self.configurations]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_studies": self.n,
-            "members": self.member_strings(),
-        }
-
 
 def null_subset(kind: HypothesisKind, n: int) -> HypothesisSet:
     """Named null subset over n studies.
@@ -142,19 +141,10 @@ def null_subset(kind: HypothesisKind, n: int) -> HypothesisSet:
     entry; it has 1 + 2n + n(n-1) members and needs n >= 2 (for a single
     study it would cover the whole space).
     """
-    space = enumerate_configurations(n)
-    if kind is HypothesisKind.NO_ASSOCIATION:
-        members = tuple(i for i, h in enumerate(space) if all(s == 0 for s in h))
-    elif kind is HypothesisKind.NO_REPLICABILITY:
-        if n < 2:
-            raise ConfigError(
-                "the no-replicability null needs at least two studies"
-            )
-        members = tuple(
-            i for i, h in enumerate(space) if is_null_member(h, kind)
-        )
-    else:
-        raise ConfigError("use HypothesisSet.custom for custom null subsets")
+    space = np.array(enumerate_configurations(n)).T
+    if kind is HypothesisKind.NO_REPLICABILITY and n < 2:
+        raise ConfigError("the no-replicability null needs at least two studies")
+    members = tuple(np.flatnonzero(null_truth_mask(space, kind)).tolist())
     return HypothesisSet(kind, n, members)
 
 

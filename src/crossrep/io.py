@@ -146,19 +146,6 @@ def _read_table(path, lines: list[str], cells, line_fault):
     raise RuntimeError(f"{path}: the column checks failed but no line is at fault")
 
 
-def _feature_major(columns: list[list], n_rows: int, dtype=float) -> np.ndarray:
-    """(len(columns), n_rows) array stored feature by feature, as rows were read.
-
-    Results depend on it: numpy sums 8 or more contiguous values pairwise but
-    study-major rows one after another, so at n = 8 a study-major z panel
-    moves the comparator's p-values in the last bits.
-    """
-    out = np.empty((n_rows, len(columns)), dtype=dtype)
-    for j, column in enumerate(columns):
-        out[:, j] = column
-    return out.T
-
-
 def _write_table(path, header: list[str], snp_ids, cells) -> None:
     """TSV written column by column: snp ids, then (format, values) columns."""
     columns = [list(snp_ids)]
@@ -177,7 +164,7 @@ def read_zpanel(path) -> ZPanel:
         raise DataError(f"{path}: no data rows")
     cells = [(k, _floats) for k in range(1, len(header))]
     columns, z = _read_table(path, lines, cells, _panel_line_fault)
-    return ZPanel(tuple(columns[0]), tuple(header[1:]), _feature_major(z, len(lines) - 1))
+    return ZPanel(tuple(columns[0]), tuple(header[1:]), np.array(z))
 
 
 def _panel_line_fault(fields: list[str], width: int) -> str | None:
@@ -275,19 +262,19 @@ def write_truth(truth: TruthPanel, study_ids, path) -> None:
 def read_truth(path) -> tuple[TruthPanel, list[str]]:
     lines = _read_lines(path)
     header = lines[0].split("\t")
-    if header[0] != "snp_id" or (len(header) - 1) % 3 != 0:
+    if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
     study_ids = [name.removeprefix("h_") for name in header[1::3]]
-    n, width, m = len(study_ids), len(header), len(lines) - 1
+    n, width = len(study_ids), len(header)
     # A line is checked status columns first, then theta, then maf.
     cells = [(k, _statuses) for k in range(1, width, 3)]
     cells += [(k, _floats) for k in [*range(2, width, 3), *range(3, width, 3)]]
     columns, values = _read_table(path, lines, cells, _truth_line_fault)
     truth = TruthPanel(
         tuple(columns[0]),
-        _feature_major(values[:n], m, np.int8),
-        _feature_major(values[n : 2 * n], m),
-        _feature_major(values[2 * n :], m),
+        np.array(values[:n], dtype=np.int8),
+        np.array(values[n : 2 * n]),
+        np.array(values[2 * n :]),
     )
     return truth, study_ids
 

@@ -11,32 +11,23 @@ rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import chdtrc, log_ndtr
 
-from .configspace import HypothesisKind
 from .errors import ConfigError, DataError
 
 P_FLOOR = 1e-300
 _LOG_FLOOR = np.log(P_FLOOR)
 
 
-@dataclass(frozen=True, eq=False)
-class PValueVector:
-    """Per-feature p-values for one labeled null hypothesis."""
-
-    values: np.ndarray
-    label: HypothesisKind
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DataError("p-values must form a 1-d vector")
-        if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
-            raise DataError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
+def _checked(p) -> np.ndarray:
+    """p as a float vector, checking it is 1-d with every value in [0, 1]."""
+    values = np.asarray(p, dtype=float)
+    if values.ndim != 1:
+        raise DataError("p-values must form a 1-d vector")
+    if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
+        raise DataError("p-values must lie in [0, 1]")
+    return values
 
 
 def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +47,8 @@ def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _concordant(z: np.ndarray) -> np.ndarray:
     if z.shape[0] < 1 or z.shape[1] < 1:
         raise ValueError("need at least one study and one feature")
-    left, right = _combined_tails(z)
+    # study-major, so the sums over studies run in one order for any layout
+    left, right = _combined_tails(np.ascontiguousarray(z))
     return np.minimum(1.0, 2.0 * np.minimum(left, right))
 
 
@@ -65,8 +57,7 @@ def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
 
     z_panel has shape (k, M) with one row per study; the p-value is
     2 * min(left, right) of the Fisher combinations, capped at 1. The
-    panel keeps its memory layout: at k = 8 the summation order, and so
-    the last bits of the result, depend on it.
+    result does not depend on the panel's memory layout.
     """
     return _concordant(np.atleast_2d(np.asarray(z_panel, dtype=float)))
 
@@ -94,8 +85,7 @@ def bh_procedure(p, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rejections at level q (boolean mask)."""
     if not 0.0 < q < 1.0:
         raise ConfigError(f"q must be inside (0, 1), got {q}")
-    values = p.values if isinstance(p, PValueVector) else np.asarray(p, dtype=float)
-    PValueVector(values, HypothesisKind.CUSTOM)  # reuse the range validation
+    values = _checked(p)
     m = values.size
     p_sorted = np.sort(values)
     ok = p_sorted <= q * np.arange(1, m + 1) / m
@@ -107,8 +97,7 @@ def bh_procedure(p, q: float) -> np.ndarray:
 
 def bh_adjust(p) -> np.ndarray:
     """BH-adjusted p-values: running minimum from the top of M * p_(k) / k."""
-    values = p.values if isinstance(p, PValueVector) else np.asarray(p, dtype=float)
-    PValueVector(values, HypothesisKind.CUSTOM)
+    values = _checked(p)
     m = values.size
     order = np.argsort(values, kind="stable")
     scaled = values[order] * m / np.arange(1, m + 1)

@@ -63,13 +63,6 @@ class ConditionalBinDensities:
     def bin_count(self) -> int:
         return self.probs.shape[2]
 
-    def validate_truncation(self) -> None:
-        """Check the half-line support constraints on the signed vectors."""
-        pos = self.probs[:, 2, :]
-        neg = self.probs[:, 0, :]
-        if np.any(pos[self.centers <= 0] != 0) or np.any(neg[self.centers >= 0] != 0):
-            raise DataError("signed conditional densities violate truncation")
-
 
 def build_conditionals(
     fits: list[TwoGroupFit], binned: BinnedPanel
@@ -342,7 +335,8 @@ def fdr_report(
 
     order = np.lexsort((np.arange(m), lf))
     lf_sorted = lf[order]
-    running = np.cumsum(lf_sorted) / np.arange(1, m + 1)
+    # rounding can dip a running mean over near-tied values; keep it non-decreasing
+    running = np.maximum.accumulate(np.cumsum(lf_sorted) / np.arange(1, m + 1))
     last_tied = np.searchsorted(lf_sorted, lf_sorted, side="right") - 1
     fdr_sorted = running[last_tied]
 

@@ -12,12 +12,17 @@ no association.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import chdtr, expit, ndtri
 
-from .configspace import HypothesisKind, enumerate_configurations, validate_configuration
+from .configspace import (
+    HypothesisKind,
+    enumerate_configurations,
+    null_truth_mask,
+    validate_configuration,
+)
 from .errors import ConfigError, DataError
 from .twogroup import ZPanel
 
@@ -289,18 +294,6 @@ def simulate_panel(
     return ZPanel(truth.snp_ids, study_ids, z), truth
 
 
-def null_truth_mask(statuses: np.ndarray, kind: HypothesisKind) -> np.ndarray:
-    """Per-feature mask of features whose named null hypothesis is true."""
-    statuses = np.asarray(statuses)
-    if kind is HypothesisKind.NO_ASSOCIATION:
-        return np.all(statuses == 0, axis=0)
-    if kind is HypothesisKind.NO_REPLICABILITY:
-        n_pos = (statuses == 1).sum(axis=0)
-        n_neg = (statuses == -1).sum(axis=0)
-        return (n_pos <= 1) & (n_neg <= 1)
-    raise ConfigError("evaluation is defined for the named nulls only")
-
-
 @dataclass(frozen=True)
 class SimMetrics:
     """Truth-scored summary of one rejection set."""
@@ -312,13 +305,7 @@ class SimMetrics:
     power: float
 
     def to_json(self) -> dict:
-        return {
-            "n_rejected": self.n_rejected,
-            "false_discoveries": self.false_discoveries,
-            "true_discoveries": self.true_discoveries,
-            "fdp": self.fdp,
-            "power": self.power,
-        }
+        return asdict(self)
 
 
 def evaluate(rejections, truth: TruthPanel, kind: HypothesisKind) -> SimMetrics:

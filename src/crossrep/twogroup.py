@@ -35,6 +35,7 @@ DEFAULT_EXCLUSION_THRESHOLD = 1.0 - 1e-9
 POLY_DEGREE = 7
 IRLS_MAX_ITER = 200
 IRLS_TOL = 1e-8
+PI0_STABLE_SIZE = 1000
 
 _CENTRAL_LO = ndtri(0.25)
 _CENTRAL_HI = ndtri(0.75)
@@ -154,17 +155,12 @@ def estimate_pi0(z_study: np.ndarray) -> float:
     """Fraction of null features, from counts in the central null quartiles.
 
     Counts z-scores inside [Phi^-1(0.25), Phi^-1(0.75)], divides by half the
-    panel size, and clamps at 1. Stable only for large panels; below 1000
-    observations a warning is emitted.
+    panel size, and clamps at 1. Stable only for large panels; fit_study
+    warns below PI0_STABLE_SIZE observations.
     """
     z = np.asarray(z_study, dtype=float).ravel()
     if z.size == 0:
         raise DataError("cannot estimate the null fraction from an empty vector")
-    if z.size < 1000:
-        warnings.warn(
-            f"null-fraction estimate from only {z.size} z-scores is unstable",
-            stacklevel=2,
-        )
     inside = int(np.count_nonzero((z >= _CENTRAL_LO) & (z <= _CENTRAL_HI)))
     return min(1.0, inside / (0.5 * z.size))
 
@@ -309,6 +305,11 @@ def fit_study(
     exclusion_threshold: float = DEFAULT_EXCLUSION_THRESHOLD,
 ) -> TwoGroupFit:
     """Run the full two-group estimation for one study column."""
+    if panel.n_snps < PI0_STABLE_SIZE:
+        warnings.warn(
+            f"study {panel.study_ids[study]!r}: null-fraction estimate from only "
+            f"{panel.n_snps} z-scores is unstable"
+        )
     pi0 = estimate_pi0(panel.z[study])
     centers = binned.centers[study]
     width = float(binned.widths[study])
@@ -321,7 +322,7 @@ def fit_study(
     else:
         try:
             fa = alternative_density(f_hat, pi0, centers, width)
-        except DegenerateAlternativeError as exc:
+        except (StudyExcludedError, DegenerateAlternativeError) as exc:
             qualifies = False
             reason = str(exc)
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -72,6 +73,31 @@ def run_table3_rep(n_snps, seed, q=0.05, bins=50):
         out[f"eb_{label}"] = cr.evaluate(report, truth, NR if label == "nr" else NA)
     out["n_included"] = len(included)
     return out
+
+
+def concordant_design(n: int, n_snps: int, seed: int) -> dict:
+    """A simulate --design payload for n studies in default_design's pattern.
+
+    90% all-null; the rest split over single-signal configurations (weight
+    2) and multi-signal configurations whose signals share one sign
+    (weight 1). At n = 3 these are default_design's probabilities.
+    """
+    weights = {}
+    for h in itertools.product((-1, 0, 1), repeat=n):
+        signed = [s for s in h if s]
+        if len(signed) == 1:
+            weights[h] = 2
+        elif len(signed) > 1 and len(set(signed)) == 1:
+            weights[h] = 1
+    total = sum(weights.values())
+    probs = {"0" * n: 0.9}
+    probs.update({"".join("-0+"[s + 1] for s in h): 0.1 * w / total
+                  for h, w in weights.items()})
+    return {
+        "n_studies": n, "n_snps": n_snps, "n_cases": 2000, "n_controls": 2000,
+        "config_probs": probs, "effect_ranges": {"1": [0.25, 0.5], "-1": [-0.5, -0.25]},
+        "maf_range": [0.05, 0.5], "alpha": -6.0, "seed": seed,
+    }
 
 
 def mean_metric(rows, key, attr):

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from crossrep import ZPanel
+import crossrep.io as cio
+from crossrep import ZPanel, no_association_pvalues, simulate_panel
 from crossrep.cli import build_parser, main
 from crossrep.io import read_zpanel, write_zpanel
+from helpers import concordant_design
 
 
 def run(argv):
@@ -298,13 +300,23 @@ class TestErrorChannels:
 
 
 SURFACE = {
-    "fit": ["--input", "--out-dir", "--bins", "--exclude-threshold"],
+    "fit": ["--input", "--out-dir", "--bins"],
     "analyze": ["--input", "--out-dir", "--bins", "--q", "--hypothesis", "--em-tol",
-                "--em-max-iter", "--exclude-threshold"],
+                "--em-max-iter"],
     "compare": ["--input", "--out-dir", "--q", "--hypothesis"],
     "simulate": ["--design", "--snps", "--seed", "--statistic", "--out-dir"],
     "evaluate": ["--report", "--truth", "--out-dir"],
 }
+
+
+def test_compare_on_a_written_panel_matches_the_library_bit_for_bit(tmp_path, monkeypatch):
+    panel, _ = simulate_panel(cio.design_from_payload(concordant_design(8, 2000, 5)))
+    write_zpanel(panel, tmp_path / "zpanel.tsv")
+    columns = {}
+    monkeypatch.setattr(cio, "write_comparison_report", lambda _p, _i, c: columns.update(c))
+    assert run(["compare", "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path,
+                "--hypothesis", "na"]) == 0
+    assert columns["na"]["p"].tobytes() == no_association_pvalues(panel.z).tobytes()
 
 
 class TestSurface:
@@ -386,7 +398,11 @@ class TestRunRecords:
         code = run(["analyze", "--input", tmp_path / "sim" / "zpanel.tsv", "--out-dir", tmp_path])
         assert code == 0
         notes = json.loads((tmp_path / "analyze.run.json").read_text())["warnings"]
-        assert notes == ["null-fraction estimate from only 500 z-scores is unstable"] * 3
+        assert notes == [
+            f"study 'study_{i}': null-fraction estimate from only 500 z-scores is unstable"
+            for i in (1, 2, 3)
+        ]
         err = capsys.readouterr().err
         assert "UserWarning" not in err
-        assert err.count("warning: null-fraction estimate from only 500") == 3
+        for i in (1, 2, 3):
+            assert err.count(f"warning: study 'study_{i}': null-fraction estimate") == 1

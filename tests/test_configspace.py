@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrep import (
     ConfigError,
@@ -11,6 +14,7 @@ from crossrep import (
     is_null_member,
     no_replicability_size,
     null_subset,
+    null_truth_mask,
 )
 
 NA = HypothesisKind.NO_ASSOCIATION
@@ -91,7 +95,6 @@ def test_custom_subset_roundtrip():
     subset = HypothesisSet.custom(2, [(0, 0), (1, 0), (-1, 0)])
     assert subset.kind is HypothesisKind.CUSTOM
     assert subset.configurations == ((-1, 0), (0, 0), (1, 0))
-    assert subset.member_strings() == ["-0", "00", "+0"]
 
 
 def test_custom_subset_validation():
@@ -119,6 +122,28 @@ def test_configuration_string_validation():
 
 
 def test_hypothesis_set_serialization_order():
-    payload = null_subset(NR, 2).to_json()
-    assert payload["kind"] == "no_replicability"
-    assert payload["members"] == ["-0", "-+", "0-", "00", "0+", "+-", "+0"]
+    subset = null_subset(NR, 2)
+    assert subset.kind.value == "no_replicability"
+    members = [config_to_string(h) for h in subset.configurations]
+    assert members == ["-0", "-+", "0-", "00", "0+", "+-", "+0"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_null_truth_mask_matches_the_definitions(n, m, seed):
+    statuses = np.random.default_rng(seed).integers(-1, 2, size=(n, m))
+    columns = [tuple(col.tolist()) for col in statuses.T]
+    na = [all(s == 0 for s in h) for h in columns]
+    nr = [h.count(1) <= 1 and h.count(-1) <= 1 for h in columns]
+    assert null_truth_mask(statuses, NA).tolist() == na
+    assert null_truth_mask(statuses, NR).tolist() == nr
+    assert [is_null_member(h, NR) for h in columns] == nr
+
+
+def test_null_predicate_refuses_custom_kind():
+    with pytest.raises(ConfigError):
+        null_truth_mask([[0]], HypothesisKind.CUSTOM)
+    with pytest.raises(ConfigError):
+        is_null_member((0,), HypothesisKind.CUSTOM)
+    with pytest.raises(ConfigError):
+        null_subset(HypothesisKind.CUSTOM, 2)

@@ -69,6 +69,13 @@ class TestTruthAndDesignIO:
         assert np.array_equal(back.theta, truth.theta)
         assert np.array_equal(back.maf, truth.maf)
 
+    @pytest.mark.parametrize("header", ["snp_id", "snp_id\th_a\ttheta_a"])
+    def test_truth_header_without_a_full_study_is_rejected(self, tmp_path, header):
+        path = tmp_path / "truth.tsv"
+        path.write_text(header + "\n" + "rs1" + "\t0" * header.count("\t") + "\n")
+        with pytest.raises(DataError, match="malformed truth header"):
+            cio.read_truth(path)
+
     def write_truth_with_status(self, tmp_path, token):
         design = default_design(n_snps=5, seed=2)
         path = tmp_path / "truth.tsv"
@@ -219,9 +226,8 @@ def report_columns(draw):
 
 
 def exact(a, b):
-    """Same dtype, shape, memory layout and bits (so -0.0 differs from 0.0)."""
-    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
-            and a.tobytes("A") == b.tobytes("A"))
+    """Same dtype, shape and bits (so -0.0 differs from 0.0)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestColumnarCodec:

@@ -5,8 +5,6 @@ from scipy.stats import chi2, norm
 from crossrep import (
     ConfigError,
     DataError,
-    HypothesisKind,
-    PValueVector,
     bh_adjust,
     bh_procedure,
     no_association_pvalues,
@@ -121,6 +119,19 @@ class TestNoAssociation:
             oracle, rel=1e-10
         )
 
+    def test_memory_layout_does_not_change_a_bit(self):
+        # numpy sums contiguous runs of 8 or more values pairwise, so at
+        # n = 8 a feature-major panel would round differently
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(8, 2000)) + rng.choice([0.0, 2.5], size=(8, 2000))
+        c_order, f_order = np.ascontiguousarray(z), np.asfortranarray(z)
+        assert no_association_pvalues(c_order).tobytes() == (
+            no_association_pvalues(f_order).tobytes()
+        )
+        assert no_replicability_pvalues(c_order).tobytes() == (
+            no_replicability_pvalues(f_order).tobytes()
+        )
+
     def test_vector_form_matches_scalar(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(3, 40))
@@ -162,9 +173,9 @@ class TestBhProcedure:
         assert np.all(np.diff(adj[order]) >= -1e-15)
         assert np.all(adj <= 1.0) and np.all(adj >= p - 1e-15)
 
-    def test_accepts_pvalue_vector(self):
-        vec = PValueVector(np.array([0.01, 0.2]), HypothesisKind.NO_ASSOCIATION)
-        assert bh_procedure(vec, 0.05).tolist() == [True, False]
+    def test_accepts_a_plain_sequence(self):
+        assert bh_procedure([0.01, 0.2], 0.05).tolist() == [True, False]
+        assert bh_adjust([0.01, 0.2]).tolist() == [0.02, 0.2]
 
     def test_validation(self):
         with pytest.raises(ConfigError):

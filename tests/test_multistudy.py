@@ -128,7 +128,8 @@ class TestBuildConditionals:
         binned = make_binned(np.zeros((1, 10), dtype=int), -4, 4, b=40)
         cond = build_conditionals([fit], binned)
         assert_allclose(cond.probs[0, 2], cond.probs[0, 0][::-1], atol=1e-12)
-        cond.validate_truncation()
+        assert not cond.probs[0, 2][cond.centers[0] <= 0].any()
+        assert not cond.probs[0, 0][cond.centers[0] >= 0].any()
 
     def test_null_conditional_has_normal_shape(self):
         fits, binned = self.fits_and_binned(None)
@@ -471,6 +472,14 @@ class TestModelInvariances:
             assert_allclose(lf_flipped[label], lf[label], rtol=0, atol=1e-9)
 
 
+# local FDR vectors with many exact ties and values at 0 and 1
+LOCAL_FDRS = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.5, 1.0])),
+    min_size=1,
+    max_size=60,
+)
+
+
 class TestFdrReport:
     def test_running_mean_example(self):
         report = fdr_report(np.array([0.01, 0.02, 0.20]), q=0.05)
@@ -508,6 +517,28 @@ class TestFdrReport:
             assert np.array_equal(report.rejected, report.fdr_estimate <= q)
             order = np.argsort(lf, kind="stable")
             assert np.all(np.diff(report.fdr_estimate[order]) >= -1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lf=LOCAL_FDRS, q=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
+    # the float running mean of these dips below 0.1 at rank 5
+    @example(lf=[0.1] * 4 + [0.10000000000000002] * 3, q=0.5, seed=0)
+    def test_report_properties(self, lf, q, seed):
+        lf = np.array(lf)
+        report = fdr_report(lf, q)
+        est = report.fdr_estimate
+        # non-decreasing in local FDR, ties sharing one value
+        order = np.argsort(lf, kind="stable")
+        assert np.all(np.diff(est[order]) >= 0)
+        for value in np.unique(lf):
+            assert np.unique(est[lf == value]).size == 1
+        assert np.array_equal(report.rejected, lf <= report.t_hat)
+        if report.n_rejected:
+            assert lf[report.rejected].mean() <= q + 1e-12
+        perm = np.random.default_rng(seed).permutation(lf.size)
+        shuffled = fdr_report(lf[perm], q)
+        assert shuffled.t_hat == report.t_hat
+        assert np.array_equal(shuffled.fdr_estimate, est[perm])
+        assert np.array_equal(shuffled.rejected, report.rejected[perm])
 
     def test_q_validation(self):
         with pytest.raises(ConfigError):

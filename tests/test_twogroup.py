@@ -98,8 +98,10 @@ class TestPi0:
         assert estimate_pi0(z) == estimate_pi0(z[::-1])
 
     def test_small_sample_warns(self):
-        with pytest.warns(UserWarning):
-            estimate_pi0(np.random.default_rng(2).normal(size=500))
+        panel = make_panel([np.random.default_rng(2).normal(size=500)], ("a",))
+        message = "study 'a': null-fraction estimate from only 500 z-scores is unstable"
+        with pytest.warns(UserWarning, match=message):
+            fit_study(panel, bin_panel(panel, 50), 0)
 
     def test_standard_normal_concentration(self):
         # with M=1e5 null draws the estimate lands in [0.99, 1.0] almost surely
@@ -295,3 +297,16 @@ class TestFitPipeline:
         assert not fit.qualifies
         assert fit.fA_hat is None
         assert "null fraction" in fit.exclusion_reason
+
+    def test_pure_null_study_is_excluded_above_threshold_one(self):
+        # pi0 = 1 is below a threshold of 2, so the exclusion comes from the
+        # missing alternative component instead of the threshold
+        rng = np.random.default_rng(5)
+        z = np.vstack([rng.normal(size=3000), rng.uniform(-0.2, 0.2, size=3000)])
+        panel = make_panel(z, ("ok", "flat"))
+        ok, flat = fit_panel(panel, bin_panel(panel, 50), 2.0)
+        assert ok.qualifies
+        assert flat.pi0_hat == 1.0 and not flat.qualifies and flat.fA_hat is None
+        assert flat.exclusion_reason == (
+            "estimated null fraction is 1; no alternative component to extract"
+        )
