@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io, metap, multistudy, sim, twogroup
 from .configspace import HypothesisKind, null_subset
-from .errors import ConfigError, CrossrepError, DataError, ModelError
+from .errors import ConfigError, CrossrepError, DataError, ModelError, fdr_level
 
 _HYP_LABELS = {
     "na": HypothesisKind.NO_ASSOCIATION,
@@ -32,13 +32,6 @@ def bin_count(text: str) -> int:
     if bins < twogroup.MIN_BIN_COUNT:
         raise ConfigError(f"bin count must be at least {twogroup.MIN_BIN_COUNT}")
     return bins
-
-
-def level(text: str) -> float:
-    q = float(text)
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"q must be inside (0, 1), got {q}")
-    return q
 
 
 def _labels(hypothesis: str) -> list[str]:
@@ -135,8 +128,6 @@ def cmd_analyze(args, out: Path) -> dict:
 def cmd_compare(args, out: Path) -> dict:
     labels = _labels(args.hypothesis)
     panel = io.read_zpanel(args.input)
-    if "nr" in labels and panel.n_studies < 2:
-        raise ConfigError("the no-replicability comparator needs at least two studies")
     columns = {}
     for label in labels:
         if label == "na":
@@ -190,7 +181,7 @@ def cmd_evaluate(args, out: Path) -> dict:
 
 
 def _add_level_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=level, default=0.05, help="target Bayes FDR level")
+    parser.add_argument("--q", type=fdr_level, default=0.05, help="target Bayes FDR level")
     parser.add_argument("--hypothesis", choices=("na", "nr", "both"), default="both")
 
 

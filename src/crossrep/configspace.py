@@ -2,9 +2,11 @@
 
 A configuration assigns each of n studies a status in {-1, 0, +1}:
 negatively associated, not associated, positively associated. Null
-hypotheses about a feature are subsets of the enumerated 3**n space; two
-ship with named constructors: "no association" (null in every study) and
-"no replicability" (no sign shared by two or more studies).
+hypotheses about a feature are subsets of the enumerated 3**n space. The
+two named nulls are one rule, "fewer than u studies share a sign", the
+partial-conjunction null of Benjamini & Heller (2008, Biometrics 64:1215):
+u = 1 is "no association" (null in every study) and u = 2 is "no
+replicability" (no sign shared by two or more studies).
 """
 
 from __future__ import annotations
@@ -28,6 +30,22 @@ class HypothesisKind(Enum):
     NO_ASSOCIATION = "no_association"
     NO_REPLICABILITY = "no_replicability"
     CUSTOM = "custom"
+
+    @property
+    def shared_signs(self) -> int:
+        """u of a named null: it holds while fewer than u studies share a sign."""
+        if self is HypothesisKind.CUSTOM:
+            raise ConfigError("the null predicate is defined only for the named nulls")
+        return 1 if self is HypothesisKind.NO_ASSOCIATION else 2
+
+
+def checked_shared_signs(kind: HypothesisKind, n: int) -> int:
+    """u of a named null, checking that the n studies can reject it (u <= n)."""
+    u = kind.shared_signs
+    if u > n:
+        studies = ("one study", "two studies")[u - 1]
+        raise ConfigError(f"the {kind.value.replace('_', '-')} null needs at least {studies}")
+    return u
 
 
 def _checked_study_count(n) -> int:
@@ -75,15 +93,12 @@ def config_from_string(text: str) -> tuple[int, ...]:
 def null_truth_mask(statuses, kind: HypothesisKind) -> np.ndarray:
     """Which columns of an (n, M) status array the named null holds for.
 
-    No association: every study is 0. No replicability: at most one study
-    is +1 and at most one is -1.
+    A column is null when fewer than u studies share a sign:
+    max(#(+1), #(-1)) < u.
     """
-    statuses = np.asarray(statuses)
-    if kind is HypothesisKind.NO_ASSOCIATION:
-        return np.all(statuses == 0, axis=0)
-    if kind is HypothesisKind.NO_REPLICABILITY:
-        return ((statuses == 1).sum(axis=0) <= 1) & ((statuses == -1).sum(axis=0) <= 1)
-    raise ConfigError("the null predicate is defined only for the named nulls")
+    statuses = np.ascontiguousarray(statuses)  # study-major: each count is one pass
+    shared = np.maximum((statuses == 1).sum(axis=0), (statuses == -1).sum(axis=0))
+    return shared < kind.shared_signs
 
 
 def is_null_member(h, kind: HypothesisKind) -> bool:
@@ -138,12 +153,10 @@ def null_subset(kind: HypothesisKind, n: int) -> HypothesisSet:
 
     The no-association null is the all-zero singleton. The no-replicability
     null collects configurations with at most one +1 and at most one -1
-    entry; it has 1 + 2n + n(n-1) members and needs n >= 2 (for a single
-    study it would cover the whole space).
+    entry; it has 1 + 2n + n(n-1) members. Each needs n >= u studies.
     """
     space = np.array(enumerate_configurations(n)).T
-    if kind is HypothesisKind.NO_REPLICABILITY and n < 2:
-        raise ConfigError("the no-replicability null needs at least two studies")
+    checked_shared_signs(kind, n)
     members = tuple(np.flatnonzero(null_truth_mask(space, kind)).tolist())
     return HypothesisSet(kind, n, members)
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the package.
+"""Exception hierarchy for the package, and the FDR level check.
 
 The three branches map onto distinct CLI exit codes so callers can tell
 bad parameters (2) from bad input data (3) from estimation failures (4).
@@ -15,6 +15,14 @@ class ConfigError(CrossrepError):
     """Invalid parameters: bin count too small, q outside (0, 1), and so on."""
 
     exit_code = 2
+
+
+def fdr_level(q) -> float:
+    """q as a float, checking it is a false discovery rate level inside (0, 1)."""
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise ConfigError(f"q must be inside (0, 1), got {q}")
+    return q
 
 
 class SizeLimitError(ConfigError):

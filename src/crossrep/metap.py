@@ -1,12 +1,11 @@
 """Directional meta-analysis p-values and the step-up FDR comparator.
 
-The no-association p-value for a feature combines its one-sided study
-p-values with Fisher's method, separately left and right, and doubles the
-smaller combination so only direction-concordant signal drives it. The
-no-replicability p-value is the maximum of those combinations over all
-leave-one-out study subsets, so a single strong study cannot produce a
-small value on its own. Rejections use the Benjamini-Hochberg step-up
-rule.
+Both named nulls say that fewer than u studies share a sign, and both are
+tested by the directional partial-conjunction p-value of Benjamini &
+Heller (2008, Biometrics 64:1215): per side, Fisher-combine the n - u + 1
+largest one-sided study p-values, then double the smaller side, capped at
+1. No u - 1 studies, whatever their signs, give a small value on their
+own. Rejections use the Benjamini-Hochberg step-up rule.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import chdtrc, log_ndtr
 
-from .errors import ConfigError, DataError
+from .configspace import HypothesisKind, checked_shared_signs
+from .errors import DataError, fdr_level
 
 P_FLOOR = 1e-300
 _LOG_FLOOR = np.log(P_FLOOR)
@@ -30,61 +30,47 @@ def _checked(p) -> np.ndarray:
     return values
 
 
-def _combined_tails(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fisher-combined left- and right-sided p-values by study subset sums.
+def _partial_conjunction(z_panel, kind: HypothesisKind) -> np.ndarray:
+    """Partial-conjunction p-values of an (n, M) panel, one per feature.
 
-    z has shape (k, M); returns two (M,) vectors. Log CDFs keep extreme
-    z-scores finite; tail probabilities are floored at 1e-300.
+    Log tails are floored at log(1e-300); the study-major copy sums over
+    studies in one order for any memory layout.
     """
-    log_left = np.maximum(log_ndtr(z), _LOG_FLOOR)
-    log_right = np.maximum(log_ndtr(-z), _LOG_FLOOR)
-    df = 2 * z.shape[0]
-    left = chdtrc(df, -2.0 * log_left.sum(axis=0))
-    right = chdtrc(df, -2.0 * log_right.sum(axis=0))
-    return left, right
-
-
-def _concordant(z: np.ndarray) -> np.ndarray:
-    if z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError("need at least one study and one feature")
-    # study-major, so the sums over studies run in one order for any layout
-    left, right = _combined_tails(np.ascontiguousarray(z))
-    return np.minimum(1.0, 2.0 * np.minimum(left, right))
+    z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
+    n = z.shape[0]
+    u = checked_shared_signs(kind, n)
+    sides = []
+    for log_tail in (log_ndtr(z), log_ndtr(-z)):
+        log_tail = np.maximum(log_tail, _LOG_FLOOR)
+        if u > 1:
+            # zero, not subtract, the u - 1 most negative: the rest sum as on their own
+            strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
+            np.put_along_axis(log_tail, strongest, 0.0, axis=0)
+        sides.append(chdtrc(2 * (n - u + 1), -2.0 * log_tail.sum(axis=0)))
+    return np.minimum(1.0, 2.0 * np.minimum(*sides))
 
 
 def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
     """Concordant meta-analysis p-value over all studies, per feature.
 
-    z_panel has shape (k, M) with one row per study; the p-value is
-    2 * min(left, right) of the Fisher combinations, capped at 1. The
-    result does not depend on the panel's memory layout.
+    z_panel has shape (n, M) with one row per study. At u = 1 the p-value is
+    2 * min(left, right) of the Fisher combinations, capped at 1.
     """
-    return _concordant(np.atleast_2d(np.asarray(z_panel, dtype=float)))
+    return _partial_conjunction(z_panel, HypothesisKind.NO_ASSOCIATION)
 
 
 def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
-    """Maximum leave-one-out concordant p-value, per feature.
+    """Partial-conjunction p-value at u = 2, per feature; needs two studies.
 
-    Needs at least two studies: with one study left out each remaining
-    subset must still witness the claimed signal.
+    Per side the strongest study is left out, so neither one study alone
+    nor two studies of opposite sign give a small value.
     """
-    z = np.atleast_2d(np.asarray(z_panel, dtype=float))
-    n = z.shape[0]
-    if n < 2:
-        raise ValueError("replicability needs at least two studies")
-    out = np.zeros(z.shape[1])
-    keep = np.ones(n, dtype=bool)
-    for drop in range(n):
-        keep[drop] = False
-        np.maximum(out, _concordant(z[keep]), out=out)
-        keep[drop] = True
-    return out
+    return _partial_conjunction(z_panel, HypothesisKind.NO_REPLICABILITY)
 
 
 def bh_procedure(p, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rejections at level q (boolean mask)."""
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"q must be inside (0, 1), got {q}")
+    q = fdr_level(q)
     values = _checked(p)
     m = values.size
     p_sorted = np.sort(values)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import HypothesisSet, enumerate_configurations
-from .errors import ConfigError, DataError, DegenerateAlternativeError, ModelError
+from .errors import ConfigError, DataError, DegenerateAlternativeError, ModelError, fdr_level
 from .twogroup import BinnedPanel, TwoGroupFit, normal_pdf
 
 EM_DEFAULT_TOL = 1e-8
@@ -323,8 +323,7 @@ def fdr_report(
     it is rejected. With no feasible rank, nothing is rejected and t_hat
     is 0.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"q must be inside (0, 1), got {q}")
+    q = fdr_level(q)
     lf = np.asarray(local_fdrs, dtype=float)
     if lf.ndim != 1 or lf.size == 0:
         raise DataError("local FDR input must be a nonempty 1-d vector")

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 from scipy.special import chdtrc
+from scipy.stats import chi2, norm
 
 import crossrep as cr
 import crossrep.io as cio
@@ -218,9 +219,23 @@ def concordant_meta_pvalue(z):
 no_association_pvalue = concordant_meta_pvalue
 
 
-def no_replicability_pvalue(z):
+def partial_conjunction_pvalue(z, u):
+    """Directional partial-conjunction p-value of one feature's z-scores.
+
+    Benjamini & Heller (2008): on each side, sort the one-sided p-values,
+    Fisher-combine the n - u + 1 largest, and double the smaller side,
+    capped at 1. Zeros are floored at 1e-300.
+    """
     z = np.asarray(z, dtype=float).ravel()
-    return float(cr.no_replicability_pvalues(z[:, None])[0])
+    sides = []
+    for p in (norm.cdf(z), norm.sf(z)):
+        kept = np.sort(np.maximum(p, cr.metap.P_FLOOR))[u - 1 :]
+        sides.append(chi2.sf(-2.0 * np.log(kept).sum(), 2 * kept.size))
+    return float(min(1.0, 2.0 * min(sides)))
+
+
+def no_replicability_pvalue(z):
+    return partial_conjunction_pvalue(z, 2)
 
 
 def fisher_combine(p):

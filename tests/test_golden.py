@@ -18,24 +18,24 @@ from helpers import concordant_design
 
 GOLDEN_N3 = {
     "sim/zpanel.tsv":
-        "c841ea5bea0487f9271dc0dc0c4eaa2543be0ab095d89d757f37e19778a6308a",
+        "ee0347e9259ff4a16182464fbe17aeb59148c41eec2918d49e38be89891574e9",
     "sim/truth.tsv":
         "938f30c85f95e0f6415109b511442aaf407b0b8eb9e65d961b0e6572cac10609",
     "eb/report_eb.tsv":
-        "24efe8e394b7cac82a73ce5716554a19bf5560a961e2529023cb0f1b264b88d2",
+        "b14b71d8a4c9bbad311a8b8a8225f49beca64579e5502d4a046d97b284044a3d",
     "eb/metrics.json":
         "c15eef4bee0a8f48a7416b876b3308be78865cedebd85747f28224f4a5297423",
     "meta/report_meta.tsv":
-        "fae34937dcfbbd03ec33aa32b7fd740438c8628d74c12949f2e6ed4cb2308150",
+        "d65b0eb5deb06c40b20b21dca10b8931e7672c062ba04f3c448a81b2d517da9d",
     "meta/metrics.json":
         "63f59c7bd0206c648c742693c0a77cd096374b55f5413900416e44ca425e8c8c",
 }
 
 GOLDEN_N8 = {
     "sim/zpanel.tsv":
-        "0acf21f2ff1c5a3e915e6e2871de0f7b901fe160b5cb93a8bd2c6e067250bf23",
+        "e0fcfba9960371a8383210de8aeb716420d721b7680ffa3d20f22a2dcd9f98f5",
     "meta/report_meta.tsv":
-        "5666feb5227219ede4b52cc23059e7506d7acfbe14566b31b8103fda909e7f45",
+        "547d1b04f1b214d346c172d942ba168c5d61aa638f6753ff300448743d4bfcd3",
 }
 
 

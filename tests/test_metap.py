@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.stats import chi2, norm
 
 from crossrep import (
@@ -12,10 +13,10 @@ from crossrep import (
 )
 from helpers import (
     concordant_meta_pvalue,
-    concordant_meta_pvalues,
     fisher_combine,
     no_association_pvalue,
     no_replicability_pvalue,
+    partial_conjunction_pvalue,
 )
 
 
@@ -64,9 +65,8 @@ class TestConcordantMeta:
     def test_sign_symmetry_is_exact(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(4, 200))
-        assert np.array_equal(
-            concordant_meta_pvalues(z), concordant_meta_pvalues(-z)
-        )
+        for pvalues in (no_association_pvalues, no_replicability_pvalues):
+            assert np.array_equal(pvalues(z), pvalues(-z))
 
     def test_capped_at_one(self):
         assert concordant_meta_pvalue([0.0]) == 1.0
@@ -74,29 +74,47 @@ class TestConcordantMeta:
 
 class TestNoReplicability:
     def test_single_strong_study_yields_large_pvalue(self):
-        # the subset leaving out the only signal carries no evidence
+        # leaving out the strongest study leaves no evidence
         p = no_replicability_pvalue([8.0, 0.1, -0.2])
         assert p > 0.1
 
     def test_two_studies_reduce_to_max_of_singles(self):
-        z = np.array([2.5, -1.0])
-        singles = [concordant_meta_pvalue([z[1]]), concordant_meta_pvalue([z[0]])]
-        assert no_replicability_pvalue(z) == pytest.approx(max(singles), rel=1e-12)
+        # per side the weaker study's one-sided p-value: 2 min(max(L1, L2), max(R1, R2))
+        for z in ([2.5, 1.0], [-3.0, -2.0], [2.5, -1.0], [0.3, 4.0]):
+            z = np.array(z)
+            expected = min(1.0, 2.0 * min(norm.cdf(z).max(), norm.sf(z).max()))
+            assert no_replicability_pvalues(z[:, None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_three_concordant_signals_are_tiny(self):
         assert no_replicability_pvalue([-5.0, -5.0, -5.0]) < 1e-6
 
     def test_study_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        z = rng.normal(size=5)
-        p = no_replicability_pvalue(z)
-        for _ in range(5):
-            rng.shuffle(z)
-            assert no_replicability_pvalue(z) == pytest.approx(p, rel=1e-12)
+        z = rng.normal(size=(5, 300)) + rng.choice([-3.0, 0.0, 3.0], size=(5, 300))
+        for pvalues in (no_association_pvalues, no_replicability_pvalues):
+            p = pvalues(z)
+            for _ in range(5):
+                assert_allclose(pvalues(rng.permutation(z, axis=0)), p, rtol=1e-12)
 
     def test_needs_two_studies(self):
-        with pytest.raises(ValueError):
-            no_replicability_pvalue([1.5])
+        with pytest.raises(ConfigError, match="two studies"):
+            no_replicability_pvalues(np.array([[1.5, -0.3]]))
+
+    def test_opposite_signals_are_not_replicated(self):
+        # (+, -, 0) has one study of each sign, so it is in the null
+        assert no_replicability_pvalues(np.array([[6.0], [-6.0], [0.0]]))[0] == 1.0
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_valid_under_opposite_signals(self, n):
+        # z drawn around (+a, -a, 0, ..., 0), a boundary point of the null
+        rng = np.random.default_rng(100 + n)
+        reps, a = 4000, 4.0
+        centre = np.zeros(n)
+        centre[:2] = a, -a
+        p = no_replicability_pvalues(centre[:, None] + rng.normal(size=(n, reps)))
+        for t in (0.01, 0.05, 0.1):
+            slack = 3.0 * np.sqrt(t * (1 - t) / reps) + 1.0 / reps
+            assert np.mean(p <= t) <= t + slack
 
 
 class TestNoAssociation:
@@ -134,15 +152,15 @@ class TestNoAssociation:
 
     def test_vector_form_matches_scalar(self):
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(3, 40))
-        vec = no_association_pvalues(z)
-        for j in range(40):
-            assert vec[j] == pytest.approx(no_association_pvalue(z[:, j]), rel=1e-12)
-        vec_nr = no_replicability_pvalues(z)
-        for j in range(40):
-            assert vec_nr[j] == pytest.approx(
-                no_replicability_pvalue(z[:, j]), rel=1e-12
-            )
+        for n in range(1, 9):
+            z = rng.normal(size=(n, 40)) + rng.choice([-3.0, 0.0, 3.0], size=(n, 40))
+            for u, pvalues in ((1, no_association_pvalues), (2, no_replicability_pvalues)):
+                if u > n:
+                    with pytest.raises(ConfigError):
+                        pvalues(z)
+                    continue
+                expected = [partial_conjunction_pvalue(z[:, j], u) for j in range(40)]
+                assert_allclose(pvalues(z), expected, rtol=1e-10)
 
 
 class TestBhProcedure:

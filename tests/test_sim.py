@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -210,6 +211,26 @@ class TestContingencyZ:
 
     def test_monomorphic_table_gives_zero(self):
         assert z_from_tables_contingency(np.array([[[100, 0, 0], [100, 0, 0]]]))[0] == 0.0
+
+    def test_matches_a_high_precision_reference(self):
+        # 10**7 controls per table; cases move k carriers from the first dose
+        # column to the last, so the statistic runs from about 4e-7 to 3e6
+        controls = np.array([4_000_000, 4_000_000, 2_000_000])
+        k = np.unique(np.round(np.logspace(0, 6.5, 300)).astype(np.int64))
+        tables = np.stack([np.stack([controls + [-j, 0, j], controls]) for j in k])
+        stat = pearson_statistic(tables)
+        z = z_from_tables_contingency(tables)
+        assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+
+        # z solves Phi(-z) = exp(-stat / 2), the chi-square(2) upper tail
+        window = (stat >= 1e-6) & (stat <= 1400)
+        with mpmath.workdps(30):
+            ref = [
+                float(mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(-x)) + s / 2, 1.0))
+                for s in map(mpmath.mpf, stat[window])
+            ]
+        assert_allclose(z[window], ref, rtol=1e-11, atol=0)
+        assert z[window].max() > 8.21
 
 
 class TestPanel:
