@@ -83,12 +83,10 @@ def cmd_analyze(args, out: Path) -> dict:
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
         print(f"excluding study {sid}: {reason}", file=sys.stderr)
-    if not included:
-        raise ModelError("no study qualifies for the empirical Bayes analysis")
-    if "nr" in labels and len(included) < 2:
-        raise ModelError(
-            "the no-replicability analysis needs at least two qualifying studies"
-        )
+    for kind in (_HYP_LABELS[label] for label in labels):
+        if len(included) < kind.shared_signs:
+            need = ("one qualifying study", "two qualifying studies")[kind.shared_signs - 1]
+            raise ModelError(f"the {kind.value.replace('_', '-')} analysis needs at least {need}")
     sub_binned = binned.select_studies(included)
     cond = multistudy.build_conditionals([fits[i] for i in included], sub_binned)
     model = multistudy.em_fit(

@@ -121,6 +121,8 @@ class ConfigModel:
             raise ModelError("probability vector does not match the space")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ModelError("configuration probabilities must lie on the simplex")
+        if tuple(self.space) != tuple(enumerate_configurations(len(self.space[0]))):
+            raise ModelError("configurations must follow the lexicographic order")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "em_trace", np.asarray(self.em_trace, dtype=float))
 
@@ -134,7 +136,9 @@ def _status_index_matrix(space) -> np.ndarray:
 
 
 # A panel's bin_index (n, M), its distinct bin combos (U, n) in lexicographic
-# order, each feature's combo (M,), combo counts (U,) and like (K, U).
+# order, each feature's combo (M,), combo counts (U,) and the (K, U) like as
+# its Khatri-Rao halves (left, right) over studies 0..n//2-1 and the rest:
+# like[a * len(right) + b] = left[a] * right[b], a product never formed.
 CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index combos inverse counts like")
 
 
@@ -155,28 +159,45 @@ def _collapse_bins(bin_index: np.ndarray):
     return bin_index.T[first], inverse.ravel(), counts.astype(float)
 
 
-def _likelihood_matrix(
-    cond: ConditionalBinDensities, status_idx: np.ndarray, combos: np.ndarray
-) -> np.ndarray:
-    """(K, U) matrix of combo probabilities under each configuration.
+def _khatri_rao(cond: ConditionalBinDensities, combos: np.ndarray, studies) -> np.ndarray:
+    """(3**len(studies), U) row-wise Khatri-Rao product of the studies' (3, U) factors.
 
-    A row-wise Khatri-Rao product of the per-study (3, U) factors, so rows
-    follow enumerate_configurations. Factors are made C-contiguous: a
-    strided like changes how BLAS rounds pi @ like.
+    Rows follow enumerate_configurations over those studies. Factors are made
+    C-contiguous: BLAS rounds products of strided operands differently.
     """
-    n = cond.n_studies
-    if not np.array_equal(status_idx, _status_index_matrix(enumerate_configurations(n))):
-        raise ModelError("status rows must follow the lexicographic configuration order")
-    like = np.ascontiguousarray(cond.probs[0][:, combos[:, 0]])
-    for i in range(1, n):
+    like = np.ones((1, combos.shape[0]))
+    for i in studies:
         factor = np.ascontiguousarray(cond.probs[i][:, combos[:, i]])
         like = (like[:, None, :] * factor[None, :, :]).reshape(-1, combos.shape[0])
     return like
 
 
-def _collapsed_likelihood(bin_index, cond, space) -> CollapsedLikelihood:
+def _likelihood_matrix(
+    cond: ConditionalBinDensities, status_idx: np.ndarray, combos: np.ndarray
+) -> np.ndarray:
+    """(K, U) matrix of combo probabilities under each configuration."""
+    n = cond.n_studies
+    if not np.array_equal(status_idx, _status_index_matrix(enumerate_configurations(n))):
+        raise ModelError("status rows must follow the lexicographic configuration order")
+    return _khatri_rao(cond, combos, range(n))
+
+
+def _mixture(like, pi: np.ndarray) -> np.ndarray:
+    """pi @ like, the (U,) mixture likelihood, through the two halves."""
+    left, right = like
+    return (left * (pi.reshape(left.shape[0], -1) @ right)).sum(axis=0)
+
+
+def _direction(like, w: np.ndarray) -> np.ndarray:
+    """like @ w, a (K,) vector, through the two halves."""
+    left, right = like
+    return (right @ (left * w).T).T.ravel()
+
+
+def _collapsed_likelihood(bin_index, cond) -> CollapsedLikelihood:
+    n = cond.n_studies
     combos, inverse, counts = _collapse_bins(bin_index)
-    like = _likelihood_matrix(cond, _status_index_matrix(space), combos)
+    like = _khatri_rao(cond, combos, range(n // 2)), _khatri_rao(cond, combos, range(n // 2, n))
     return CollapsedLikelihood(bin_index.copy(), combos, inverse, counts, like)
 
 
@@ -234,20 +255,20 @@ def em_fit(
     if max_iter < 1:
         raise ConfigError("max_iter must be positive")
 
-    collapsed = _collapsed_likelihood(binned.bin_index, cond, space)
+    collapsed = _collapsed_likelihood(binned.bin_index, cond)
     like, counts = collapsed.like, collapsed.counts
 
     trace = []
     converged = False
     for iteration in range(max_iter):
-        mixture = pi @ like
+        mixture = _mixture(like, pi)
         _check_mixture(mixture, collapsed.inverse, snp_ids)
         loglik = float(counts @ np.log(mixture))
         trace.append(loglik)
         if iteration > 0 and abs(loglik - trace[-2]) <= tol * abs(trace[-2]):
             converged = True
             break
-        pi = pi * (like @ (counts / mixture)) / m
+        pi = pi * _direction(like, counts / mixture) / m
         pi /= pi.sum()
 
     model = ConfigModel(
@@ -266,8 +287,8 @@ def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     """Posterior configuration probabilities for one feature's bin vector."""
     if len(snp_bins) != model.n_studies:
         raise DataError("bin vector length must equal the model's study count")
-    bins = np.reshape(snp_bins, (-1, 1))
-    like = _collapsed_likelihood(bins, model.conditionals, model.space).like[:, 0]
+    combo = np.reshape(snp_bins, (1, -1))
+    like = _likelihood_matrix(model.conditionals, _status_index_matrix(model.space), combo)[:, 0]
     weights = model.pi * like
     total = weights.sum()
     if total <= 0.0:
@@ -286,10 +307,11 @@ def local_fdr_panel(
         raise DataError("panel, model and hypothesis set disagree on study count")
     collapsed = model.likelihood
     if collapsed is None or not np.array_equal(collapsed.bin_index, binned.bin_index):
-        collapsed = _collapsed_likelihood(binned.bin_index, model.conditionals, model.space)
-    members = np.array(null_set.members)
-    numer = model.pi[members] @ collapsed.like[members]
-    denom = model.pi @ collapsed.like
+        collapsed = _collapsed_likelihood(binned.bin_index, model.conditionals)
+    # one contraction for both, so a feature with no non-null likelihood gets exactly 1
+    null_pi = model.pi * np.isin(np.arange(model.pi.size), null_set.members)
+    numer = _mixture(collapsed.like, null_pi)
+    denom = _mixture(collapsed.like, model.pi)
     _check_mixture(denom, collapsed.inverse, snp_ids)
     lf = np.minimum(numer / denom, 1.0)
     return lf[collapsed.inverse]

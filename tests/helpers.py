@@ -288,6 +288,35 @@ def gather_likelihood_matrix(cond, status_idx, combos):
     return like
 
 
+def dense_em(binned, cond, max_iter, tol=cr.multistudy.EM_DEFAULT_TOL):
+    """Reference EM on the dense (K, U) gather matrix: the weights and log-likelihood trace.
+
+    Plain mixture-weight EM from uniform weights with em_fit's stopping rule.
+    """
+    status_idx = np.array(cr.enumerate_configurations(cond.n_studies)) + 1
+    combos, _, counts = unique_rows_collapse(binned.bin_index)
+    like = gather_likelihood_matrix(cond, status_idx, combos)
+    pi = np.full(like.shape[0], 1.0 / like.shape[0])
+    trace = []
+    for _ in range(max_iter):
+        mixture = pi @ like
+        trace.append(float(counts @ np.log(mixture)))
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
+            break
+        pi = pi * (like @ (counts / mixture)) / binned.n_snps
+        pi /= pi.sum()
+    return pi, np.array(trace)
+
+
+def dense_local_fdr(binned, cond, pi, null_set):
+    """Reference local FDR: posterior null mass of each feature from the dense gather matrix."""
+    status_idx = np.array(cr.enumerate_configurations(cond.n_studies)) + 1
+    combos, inverse, _ = unique_rows_collapse(binned.bin_index)
+    like = gather_likelihood_matrix(cond, status_idx, combos)
+    members = list(null_set.members)
+    return np.minimum(pi[members] @ like[members] / (pi @ like), 1.0)[inverse]
+
+
 def unique_rows_collapse(bin_index):
     """Reference bin collapse: np.unique over the feature rows."""
     combos, inverse, counts = np.unique(

@@ -22,7 +22,7 @@ GOLDEN_N3 = {
     "sim/truth.tsv":
         "938f30c85f95e0f6415109b511442aaf407b0b8eb9e65d961b0e6572cac10609",
     "eb/report_eb.tsv":
-        "b14b71d8a4c9bbad311a8b8a8225f49beca64579e5502d4a046d97b284044a3d",
+        "0fce22f19f16db5f8f9408e54ac8ce11d2bcb063de306b4dc886db619e50a052",
     "eb/metrics.json":
         "c15eef4bee0a8f48a7416b876b3308be78865cedebd85747f28224f4a5297423",
     "meta/report_meta.tsv":

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from crossrep.multistudy import _empirical_conditionals
 from crossrep.twogroup import BinnedPanel
 from helpers import (
     config_likelihood,
+    dense_em,
+    dense_local_fdr,
     gather_likelihood_matrix,
     local_fdr_set,
     run_empirical_bayes,
@@ -383,31 +386,81 @@ class TestCollapsedLikelihood:
         with pytest.raises(ModelError, match="lexicographic"):
             ms._likelihood_matrix(cond, status_idx, np.zeros((1, 2), dtype=np.int32))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_fit_and_reports_match_the_gather_path(self, n, monkeypatch):
-        _, binned, model = random_fit(100 + n, n)
-        lfs = [local_fdr_panel(binned, model, ns) for ns in null_sets(n)]
-        monkeypatch.setattr(ms, "_collapse_bins", unique_rows_collapse)
-        monkeypatch.setattr(ms, "_likelihood_matrix", gather_likelihood_matrix)
-        ref = em_fit(binned, model.conditionals, max_iter=200)
-        assert np.array_equal(model.pi, ref.pi)
-        assert np.array_equal(model.em_trace, ref.em_trace)
-        for ns, lf in zip(null_sets(n), lfs):
-            assert np.array_equal(lf, local_fdr_panel(binned, ref, ns))
+    def test_model_space_out_of_order_is_refused(self):
+        space = tuple(cr.enumerate_configurations(2))[::-1]
+        with pytest.raises(ModelError, match="lexicographic"):
+            ConfigModel(space, np.full(9, 1 / 9), analytic_conditionals(2, b=10))
+
+    @pytest.mark.filterwarnings("ignore:\\d+ features for")
+    @pytest.mark.parametrize("n", range(1, 9))
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fit_and_reports_match_the_gather_path(self, n, seed):
+        _, binned, model = random_fit(seed, n)
+        cond = model.conditionals
+        pi, trace = dense_em(binned, cond, max_iter=200)
+        assert model.n_iter == trace.size
+        assert_allclose(model.pi, pi, rtol=0, atol=1e-12)
+        for ns in null_sets(n):
+            lf = local_fdr_panel(binned, model, ns)
+            ref = dense_local_fdr(binned, cond, pi, ns)
+            assert_allclose(lf, ref, rtol=0, atol=1e-12)
+            # fdr_report ties only equal floats, so features within rounding of
+            # either threshold (e.g. lf = 1 against 1 - 1 ulp) may go either way
+            for q in (0.01, 0.05, 0.3):
+                got, want = fdr_report(lf, q), fdr_report(ref, q)
+                edge = (np.abs(ref - got.t_hat) <= 1e-12) | (np.abs(ref - want.t_hat) <= 1e-12)
+                assert np.array_equal(got.rejected[~edge], want.rejected[~edge])
+        status_idx = ms._status_index_matrix(model.space)
+        for j in range(3):
+            column = gather_likelihood_matrix(cond, status_idx, binned.bin_index[:, j : j + 1].T)
+            weights = model.pi * column[:, 0]
+            assert_allclose(
+                posterior(binned.bin_index[:, j], model), weights / weights.sum(), rtol=0, atol=1e-12
+            )
 
     def test_fit_and_both_reports_build_the_likelihood_once(self, monkeypatch):
         calls = []
-        build = ms._likelihood_matrix
-        monkeypatch.setattr(
-            ms, "_likelihood_matrix", lambda *args: calls.append(1) or build(*args)
-        )
+        build = ms._khatri_rao
+        monkeypatch.setattr(ms, "_khatri_rao", lambda *args: calls.append(1) or build(*args))
         rng, binned, model = random_fit(7, 3)
         for ns in null_sets(3):
             local_fdr_panel(binned, model, ns)
-        assert len(calls) == 1
+        assert len(calls) == 2  # the two half factors
         other = make_binned(rng.permutation(binned.bin_index, axis=1), b=8)
         local_fdr_panel(other, model, null_sets(3)[0])
-        assert len(calls) == 2
+        assert len(calls) == 4
+
+    def test_fit_and_reports_never_allocate_the_full_likelihood(self):
+        rng = np.random.default_rng(8)
+        n, m = 8, 10_000
+        cond = random_conditionals(rng, n, 8)
+        binned = make_binned(rng.integers(0, 8, size=(n, m)), b=8)
+        full_bytes = 3**n * len(ms._collapse_bins(binned.bin_index)[2]) * 8
+        tracemalloc.start()
+        try:
+            model = em_fit(binned, cond, max_iter=3)
+            for ns in null_sets(n):
+                local_fdr_panel(binned, model, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full_bytes > 500 * 2**20
+        assert peak < full_bytes / 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_certain_nulls_get_local_fdr_exactly_one(self, seed):
+        # a feature with z > 0 in one study and z < 0 in the other shares no sign
+        _, binned, model = random_fit(seed, 2)
+        ns = cr.null_subset(NR, 2)
+        status_idx = ms._status_index_matrix(model.space)
+        like = gather_likelihood_matrix(model.conditionals, status_idx, binned.bin_index.T)
+        outside = np.setdiff1d(np.arange(len(model.space)), ns.members)
+        certain = ~np.any(like[outside] > 0, axis=0)
+        assert certain.any()
+        lf = local_fdr_panel(binned, model, ns)
+        assert np.all(lf[certain] == 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
