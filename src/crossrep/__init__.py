@@ -6,6 +6,8 @@ by composite-likelihood EM, and reports features whose no-replicability or
 no-association null is rejected at a target Bayes FDR. A directional
 meta-analysis comparator and a case-control simulation harness round out
 the pipeline.
+
+scipy.special is imported only inside the functions that call it: start-up cost.
 """
 
 from .configspace import (

@@ -82,9 +82,9 @@ def sha256_file(path) -> str:
 
 # Column parsers raise a ValueError whose message is the error for one bad token.
 
-def _floats(tokens: list[str]) -> list[float]:
+def _floats(tokens: list[str]) -> np.ndarray:
     try:
-        values = list(map(float, tokens))
+        values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
         raise ValueError("column {column!r}: {token!r} is not a number") from None
     if not np.isfinite(values).all():
@@ -147,10 +147,9 @@ def _read_table(path, lines: list[str], cells, line_fault):
 
 
 def _write_table(path, header: list[str], snp_ids, cells) -> None:
-    """TSV written column by column: snp ids, then (format, values) columns."""
-    columns = [list(snp_ids)]
-    columns += [list(map(fmt.__mod__, np.asarray(v).tolist())) for fmt, v in cells]
-    rows = map("\t".join, zip(*columns))
+    """TSV of snp ids and (format, values) columns, one format string per row."""
+    row = "\t".join(["%s", *(fmt for fmt, _ in cells)])
+    rows = map(row.__mod__, zip(snp_ids, *(np.asarray(v).tolist() for _, v in cells)))
     _atomic_write(path, "\n".join(["\t".join(header), *rows]) + "\n")
 
 

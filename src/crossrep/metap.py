@@ -11,7 +11,6 @@ own. Rejections use the Benjamini-Hochberg step-up rule.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import chdtrc, log_ndtr
 
 from .configspace import HypothesisKind, checked_shared_signs
 from .errors import DataError, fdr_level
@@ -36,6 +35,8 @@ def _partial_conjunction(z_panel, kind: HypothesisKind) -> np.ndarray:
     Log tails are floored at log(1e-300); the study-major copy sums over
     studies in one order for any memory layout.
     """
+    from scipy.special import chdtrc, log_ndtr
+
     z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
     n = z.shape[0]
     u = checked_shared_signs(kind, n)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit, ndtri_exp
 
 from .configspace import (
     HypothesisKind,
@@ -167,6 +166,8 @@ def draw_truth(design: SimDesign) -> TruthPanel:
 
 def disease_prob_per_dose(theta: np.ndarray, alpha: float) -> np.ndarray:
     """Disease probability at each dose (0, 0.5, 1) under the logistic model."""
+    from scipy.special import expit
+
     theta = np.asarray(theta, dtype=float)
     return expit(alpha + theta[..., None] * DOSE_SCORES)
 
@@ -263,6 +264,8 @@ def z_from_tables_contingency(tables: np.ndarray) -> np.ndarray:
     is standard normal; monomorphic tables again get z = 0. The quantile of
     the log upper tail, -stat / 2, keeps |z| accurate for any statistic.
     """
+    from scipy.special import ndtri_exp
+
     stat = pearson_statistic(tables)
     trend = z_from_tables(tables)
     magnitude = -ndtri_exp(-0.5 * stat)

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     ConfigError,
@@ -37,8 +36,8 @@ IRLS_MAX_ITER = 200
 IRLS_TOL = 1e-8
 PI0_STABLE_SIZE = 1000
 
-_CENTRAL_LO = ndtri(0.25)
-_CENTRAL_HI = ndtri(0.75)
+_CENTRAL_LO = np.float64(-0.6744897501960817)  # scipy.special.ndtri(0.25), bit for bit
+_CENTRAL_HI = np.float64(0.6744897501960817)  # scipy.special.ndtri(0.75)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,14 @@
 """Start-up cost guards.
 
-crossrep calls the scipy.special ufuncs behind the scipy.stats functions it
-needs, because importing scipy.stats costs about a second per command. These
-tests keep scipy.stats out of a fresh interpreter and check each replacement
-bit for bit against scipy.stats, which only the tests import.
+Each command is a fresh process. On a 2-vCPU VM bare Python starts in
+0.08 s, numpy brings that to 0.21 s and `import crossrep.cli` to 0.27 s;
+scipy.special would add about 0.27 s more, and scipy.stats about a second.
+So crossrep calls the scipy.special ufuncs behind the scipy.stats functions
+it needs, and src/ imports scipy.special only inside the functions that
+call them, which only compare and simulate reach. These tests keep both
+modules out of a fresh `import crossrep.cli`, keep scipy.special out of
+fit, analyze and evaluate, and check each replacement and literal bit for
+bit against scipy, which only the tests import.
 """
 
 import os
@@ -17,6 +22,8 @@ from scipy.special import chdtrc, log_ndtr, ndtri
 from scipy.stats import chi2, norm
 
 import crossrep
+from crossrep import twogroup
+from crossrep.cli import main
 from crossrep.twogroup import normal_pdf
 from helpers import concordant_meta_pvalues, fisher_combine
 
@@ -50,9 +57,9 @@ X_GRID = np.concatenate(
 )
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
+def fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter that imports this crossrep."""
     src = Path(crossrep.__file__).resolve().parents[1]
-    code = "import sys, crossrep, crossrep.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -60,7 +67,36 @@ def test_importing_the_cli_does_not_load_scipy_stats():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_importing_the_cli_does_not_load(module):
+    code = f"import sys, crossrep, crossrep.cli; print({module!r} in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+def test_fit_analyze_and_evaluate_never_load_scipy_special(tmp_path):
+    assert main(["simulate", "--snps", "2000", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    zpanel, truth, report = tmp_path / "zpanel.tsv", tmp_path / "truth.tsv", tmp_path / "report_eb.tsv"
+    runs = [
+        ["fit", "--input", zpanel, "--out-dir", tmp_path],
+        ["analyze", "--input", zpanel, "--out-dir", tmp_path],
+        ["evaluate", "--report", report, "--truth", truth, "--out-dir", tmp_path],
+    ]
+    code = (
+        "import sys; from crossrep.cli import main\n"
+        f"runs = {[list(map(str, argv)) for argv in runs]!r}\n"
+        "print([(argv[0], main(argv), 'scipy.special' in sys.modules) for argv in runs])"
+    )
+    last_line = fresh_python(code).splitlines()[-1]
+    assert last_line == str([("fit", 0, False), ("analyze", 0, False), ("evaluate", 0, False)])
+
+
+def test_central_quartiles_are_ndtri_bit_for_bit():
+    assert type(twogroup._CENTRAL_LO) is np.float64 and type(twogroup._CENTRAL_HI) is np.float64
+    assert bits(twogroup._CENTRAL_LO) == bits(ndtri(0.25))
+    assert bits(twogroup._CENTRAL_HI) == bits(ndtri(0.75))
 
 
 def test_ndtri_is_norm_ppf():
