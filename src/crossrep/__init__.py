@@ -7,7 +7,7 @@ no-association null is rejected at a target Bayes FDR. A directional
 meta-analysis comparator and a case-control simulation harness round out
 the pipeline.
 
-scipy.special is imported only inside the functions that call it: start-up cost.
+Start-up cost: only simulate loads scipy.special; compare needs only math.erfc.
 """
 
 from .configspace import (

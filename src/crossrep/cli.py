@@ -34,6 +34,20 @@ def bin_count(text: str) -> int:
     return bins
 
 
+def em_tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < float("inf"):
+        raise ConfigError(f"EM tolerance must be finite and at least 0, got {text}")
+    return tol
+
+
+def em_iterations(text: str) -> int:
+    limit = int(text)
+    if limit < 1:
+        raise ConfigError(f"EM iteration limit must be at least 1, got {limit}")
+    return limit
+
+
 def _labels(hypothesis: str) -> list[str]:
     return ["nr", "na"] if hypothesis == "both" else [hypothesis]
 
@@ -199,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", required=True, help="z-score panel TSV")
     p_an.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
     _add_level_flags(p_an)
-    p_an.add_argument("--em-tol", type=float, default=multistudy.EM_DEFAULT_TOL)
-    p_an.add_argument("--em-max-iter", type=int, default=multistudy.EM_DEFAULT_MAX_ITER)
+    p_an.add_argument("--em-tol", type=em_tolerance, default=multistudy.EM_DEFAULT_TOL)
+    p_an.add_argument("--em-max-iter", type=em_iterations, default=multistudy.EM_DEFAULT_MAX_ITER)
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare", help="meta-analysis p-value comparator")

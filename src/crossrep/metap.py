@@ -10,13 +10,14 @@ own. Rejections use the Benjamini-Hochberg step-up rule.
 
 from __future__ import annotations
 
+from math import erfc, lgamma
+
 import numpy as np
 
 from .configspace import HypothesisKind, checked_shared_signs
 from .errors import DataError, fdr_level
 
 P_FLOOR = 1e-300
-_LOG_FLOOR = np.log(P_FLOOR)
 
 
 def _checked(p) -> np.ndarray:
@@ -29,25 +30,43 @@ def _checked(p) -> np.ndarray:
     return values
 
 
+def _even_chi2_tail(k: int, y: np.ndarray) -> np.ndarray:
+    """Chi-square upper tail at 2y with 2k degrees of freedom: e^-y sum_{j<k} y^j / j!.
+
+    Summed in log space relative to the largest term: no term over- or underflows.
+    """
+    log_factorials = np.array([lgamma(j + 1.0) for j in range(1, k)])[:, None]
+    with np.errstate(divide="ignore"):  # y = 0 leaves the j = 0 term alone
+        log_terms = np.arange(1, k)[:, None] * np.log(y) - log_factorials
+    top = log_terms.max(axis=0, initial=0.0)
+    log_terms -= top
+    return np.exp(top - y + np.log(np.exp(-top) + np.exp(log_terms, out=log_terms).sum(axis=0)))
+
+
 def _partial_conjunction(z_panel, kind: HypothesisKind) -> np.ndarray:
     """Partial-conjunction p-values of an (n, M) panel, one per feature.
 
-    Log tails are floored at log(1e-300); the study-major copy sums over
-    studies in one order for any memory layout.
+    Each value's smaller normal tail Phi(-|z|) = erfc(|z| / sqrt 2) / 2 is
+    taken once; a side's log tail is its log, floored at log(1e-300), or
+    log1p of its complement, by the sign of z. The study-major copy sums
+    over studies in one order for any memory layout.
     """
-    from scipy.special import chdtrc, log_ndtr
-
     z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
     n = z.shape[0]
     u = checked_shared_signs(kind, n)
+    scaled = memoryview((np.abs(z) / np.sqrt(2.0)).ravel())  # yields Python floats, no copy
+    small = 0.5 * np.fromiter(map(erfc, scaled), float, z.size).reshape(z.shape)
+    del scaled  # frees an n x M array before the two logs
+    far = np.log1p(-small)
+    near = np.log(np.maximum(small, P_FLOOR, out=small), out=small)
     sides = []
-    for log_tail in (log_ndtr(z), log_ndtr(-z)):
-        log_tail = np.maximum(log_tail, _LOG_FLOOR)
+    # left then right log tails, one n x M array at a time
+    for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
         if u > 1:
             # zero, not subtract, the u - 1 most negative: the rest sum as on their own
             strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
             np.put_along_axis(log_tail, strongest, 0.0, axis=0)
-        sides.append(chdtrc(2 * (n - u + 1), -2.0 * log_tail.sum(axis=0)))
+        sides.append(_even_chi2_tail(n - u + 1, -log_tail.sum(axis=0)))
     return np.minimum(1.0, 2.0 * np.minimum(*sides))
 
 

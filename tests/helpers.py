@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.special import chdtrc
 from scipy.stats import chi2, norm
@@ -232,6 +233,25 @@ def partial_conjunction_pvalue(z, u):
         kept = np.sort(np.maximum(p, cr.metap.P_FLOOR))[u - 1 :]
         sides.append(chi2.sf(-2.0 * np.log(kept).sum(), 2 * kept.size))
     return float(min(1.0, 2.0 * min(sides)))
+
+
+def mpmath_partial_conjunction_pvalue(z, u, dps=50):
+    """partial_conjunction_pvalue at dps digits: normal tails and the Fisher tail in mpmath.
+
+    Tails are floored at the double 1e-300 before taking logs, as in metap.
+    |z| is capped at 1e4, where the tails are that floor and 1 to any
+    working precision (mpmath overflows near 1e300).
+    """
+    with mpmath.workdps(dps):
+        floor = mpmath.mpf(cr.metap.P_FLOOR)
+        z = np.clip(np.asarray(z, dtype=float), -1e4, 1e4)
+        sides = []
+        for sign in (1, -1):
+            tails = sorted(max(mpmath.ncdf(sign * mpmath.mpf(float(x))), floor) for x in z)
+            kept = tails[u - 1 :]
+            stat = -sum(mpmath.log(t) for t in kept)
+            sides.append(mpmath.gammainc(len(kept), stat, mpmath.inf, regularized=True))
+        return float(min(mpmath.mpf(1), 2 * min(sides)))
 
 
 def no_replicability_pvalue(z):

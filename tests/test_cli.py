@@ -290,6 +290,18 @@ class TestErrorChannels:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag", [["--em-tol", "-1"], ["--em-tol", "nan"], ["--em-tol", "inf"],
+                 ["--em-max-iter", "0"], ["--em-max-iter", "-3"]],
+    )
+    def test_bad_em_setting_is_config_error_before_any_output(self, sim_dir, tmp_path, capsys,
+                                                               flag):
+        out = tmp_path / "out"
+        code = run(["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", out, *flag])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: EM ")
+        assert not out.exists()
+
     def test_bad_q_is_config_error(self, sim_dir, tmp_path):
         code = run(
             ["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from crossrep import (
 from helpers import (
     concordant_meta_pvalue,
     fisher_combine,
+    mpmath_partial_conjunction_pvalue,
     no_association_pvalue,
     no_replicability_pvalue,
     partial_conjunction_pvalue,
@@ -161,6 +164,31 @@ class TestNoAssociation:
                     continue
                 expected = [partial_conjunction_pvalue(z[:, j], u) for j in range(40)]
                 assert_allclose(pvalues(z), expected, rtol=1e-10)
+
+
+class TestManyStudies:
+    def test_150_studies_match_mpmath(self):
+        # a plain forward sum of the Fisher tail's y^j / j! overflows from about 94 studies
+        rng = np.random.default_rng(150)
+        n, per = 150, 8
+        signs = rng.choice([-1.0, 1.0], size=(1, per))
+        extreme = signs * rng.uniform(20.0, 45.0, size=(n, per))
+        extreme[:5, :2] = np.inf * signs[:, :2]
+        strong = signs * rng.uniform(2.5, 3.2, size=(n, per))
+        moderate = rng.normal(size=(n, per)) + rng.choice([-0.3, 0.0, 0.3], size=(1, per))
+        alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+        mixed = alternating * rng.uniform(0.5, 3.0, size=(n, per))
+        z = np.hstack([extreme, strong, moderate, mixed])
+        for u, pvalues in ((1, no_association_pvalues), (2, no_replicability_pvalues)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = pvalues(z)
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            exact = np.array([mpmath_partial_conjunction_pvalue(column, u) for column in z.T])
+            inside = exact >= 1e-290
+            assert inside.sum() >= 3 * per
+            assert np.all(np.abs(p[inside] - exact[inside]) <= 1e-12 * exact[inside])
+            assert np.all(p[~inside] < 1e-290)
 
 
 class TestBhProcedure:

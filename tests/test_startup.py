@@ -1,14 +1,18 @@
 """Start-up cost guards.
 
 Each command is a fresh process. On a 2-vCPU VM bare Python starts in
-0.08 s, numpy brings that to 0.21 s and `import crossrep.cli` to 0.27 s;
-scipy.special would add about 0.27 s more, and scipy.stats about a second.
-So crossrep calls the scipy.special ufuncs behind the scipy.stats functions
-it needs, and src/ imports scipy.special only inside the functions that
-call them, which only compare and simulate reach. These tests keep both
-modules out of a fresh `import crossrep.cli`, keep scipy.special out of
-fit, analyze and evaluate, and check each replacement and literal bit for
-bit against scipy, which only the tests import.
+0.04-0.06 s, numpy brings that to 0.13-0.23 s and `import crossrep.cli` to
+0.19-0.29 s; scipy.special would add 0.22-0.32 s more, and scipy.stats
+about a second.
+So src/ never imports scipy.stats, and imports scipy.special only inside
+the two simulator functions that call its ufuncs, which only simulate
+reaches. compare takes its normal tails from math.erfc and its Fisher tail
+in closed form. These tests keep both modules out of a fresh
+`import crossrep.cli` and scipy.special out of fit, analyze, evaluate and
+compare, check each scipy.special stand-in and literal bit for bit against
+scipy.stats, and hold the meta-analysis p-values to their accuracy
+contract against mpmath and the scipy.stats formula, which only the tests
+import.
 """
 
 import os
@@ -25,7 +29,7 @@ import crossrep
 from crossrep import twogroup
 from crossrep.cli import main
 from crossrep.twogroup import normal_pdf
-from helpers import concordant_meta_pvalues, fisher_combine
+from helpers import concordant_meta_pvalues, fisher_combine, mpmath_partial_conjunction_pvalue
 
 
 def bits(values):
@@ -93,6 +97,16 @@ def test_fit_analyze_and_evaluate_never_load_scipy_special(tmp_path):
     assert last_line == str([("fit", 0, False), ("analyze", 0, False), ("evaluate", 0, False)])
 
 
+def test_compare_never_loads_scipy_special(tmp_path):
+    assert main(["simulate", "--snps", "2000", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    argv = ["compare", "--input", str(tmp_path / "zpanel.tsv"), "--out-dir", str(tmp_path)]
+    code = (
+        "import sys; from crossrep.cli import main\n"
+        f"print((main({argv!r}), 'scipy.special' in sys.modules))"
+    )
+    assert fresh_python(code).splitlines()[-1] == "(0, False)"
+
+
 def test_central_quartiles_are_ndtri_bit_for_bit():
     assert type(twogroup._CENTRAL_LO) is np.float64 and type(twogroup._CENTRAL_HI) is np.float64
     assert bits(twogroup._CENTRAL_LO) == bits(ndtri(0.25))
@@ -119,12 +133,25 @@ def test_normal_pdf_is_norm_pdf():
 
 
 def test_meta_pvalues_match_the_scipy_stats_formula():
+    # Accuracy contract: relative error at most 1e-12 against mpmath and
+    # the scipy.stats formula wherever p >= 1e-290, exact at the saturated ends.
     z = Z_GRID[: 4 * (Z_GRID.size // 4)].reshape(4, -1)
     z = np.hstack([z, [[np.inf, -np.inf, 40.0, 0.0]] * 4])
     log_left = np.maximum(norm.logcdf(z), np.log(1e-300)).sum(axis=0)
     log_right = np.maximum(norm.logcdf(-z), np.log(1e-300)).sum(axis=0)
     left, right = chi2.sf(-2.0 * log_left, 8), chi2.sf(-2.0 * log_right, 8)
-    expected = np.minimum(1.0, 2.0 * np.minimum(left, right))
-    assert np.array_equal(bits(concordant_meta_pvalues(z)), bits(expected))
+    stats_formula = np.minimum(1.0, 2.0 * np.minimum(left, right))
+    exact = np.array([mpmath_partial_conjunction_pvalue(column, 1) for column in z.T])
+    got = concordant_meta_pvalues(z)
+    for reference in (exact, stats_formula):
+        inside = reference >= 1e-290
+        assert np.all(np.abs(got[inside] - reference[inside]) <= 1e-12 * reference[inside])
+    saturated = (exact == 0.0) | (exact == 1.0)
+    assert saturated.sum() > 100 and np.array_equal(bits(got[saturated]), bits(exact[saturated]))
+    assert np.array_equal(bits(got[stats_formula == 1.0]), bits(stats_formula[stats_formula == 1.0]))
+    # chdtrc flushes tails below about 1e-308 to 0; the closed form keeps mpmath's subnormal
+    assert np.all(got[stats_formula == 0.0] < 1e-300)
+    assert np.array_equal(bits(got[-4:]), bits(stats_formula[-4:]))
+    assert np.array_equal(bits(got[-4:]), bits(exact[-4:]))
     p = np.array([0.0, 1e-300, 0.5, 1.0])
     assert fisher_combine(p) == float(chi2.sf(-2.0 * np.log(np.maximum(p, 1e-300)).sum(), 8))
