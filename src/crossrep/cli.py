@@ -1,4 +1,4 @@
-"""Command-line surface: fit, analyze, compare, simulate, evaluate.
+"""Command-line surface: analyze, compare, simulate, evaluate.
 
 Every command reads TSV/JSON, writes its outputs atomically into the
 output directory together with a run record (its own parameters, versions,
@@ -75,24 +75,13 @@ def _write_record(out: Path, args, inputs: dict, notes: list[str]):
 # Each command gets the parsed flags and the output directory, and returns
 # the input files to digest.
 
-def cmd_fit(args, out: Path) -> dict:
-    panel = io.read_zpanel(args.input)
-    binned = twogroup.bin_panel(panel, args.bins)
-    fits = twogroup.fit_panel(panel, binned)
-    io.write_json(out / "fits.json", io.fits_payload(fits, binned))
-    for fit in fits:
-        if fit.qualifies:
-            print(f"{fit.study_id}: pi0_hat={fit.pi0_hat:.4f}")
-        else:
-            print(f"{fit.study_id}: excluded ({fit.exclusion_reason})")
-    return {"zpanel": args.input}
-
-
 def cmd_analyze(args, out: Path) -> dict:
     labels = _labels(args.hypothesis)
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
     fits = twogroup.fit_panel(panel, binned)
+    # written before the qualifying-study check, so a run that exits 4 keeps the exclusion reasons
+    io.write_json(out / "fits.json", io.fits_payload(fits, binned))
     included = [i for i, fit in enumerate(fits) if fit.qualifies]
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
@@ -110,15 +99,6 @@ def cmd_analyze(args, out: Path) -> dict:
         max_iter=args.em_max_iter,
         snp_ids=panel.snp_ids,
     )
-    if not model.converged:
-        trace = model.em_trace
-        change = float("nan")
-        if trace.size > 1:
-            change = abs(trace[-1] - trace[-2]) / abs(trace[-2])
-        warnings.warn(
-            f"EM did not converge in {model.n_iter} iterations "
-            f"(last relative change {change:.3g}, tolerance {args.em_tol:g})"
-        )
     reports = {}
     for label in labels:
         null_set = null_subset(_HYP_LABELS[label], len(included))
@@ -204,12 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="per-study two-group fits")
-    p_fit.add_argument("--input", required=True, help="z-score panel TSV")
-    p_fit.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_an = sub.add_parser("analyze", help="empirical Bayes discovery reports")
+    p_an = sub.add_parser("analyze", help="per-study fits and empirical Bayes discovery reports")
     p_an.add_argument("--input", required=True, help="z-score panel TSV")
     p_an.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
     _add_level_flags(p_an)
@@ -239,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--truth", required=True, help="truth TSV from simulate")
     p_ev.set_defaults(func=cmd_evaluate)
 
-    for p in (p_fit, p_an, p_cmp, p_sim, p_ev):
+    for p in (p_an, p_cmp, p_sim, p_ev):
         p.add_argument("--out-dir", required=True, help="output directory")
     return parser
 

@@ -223,7 +223,7 @@ def em_fit(
     responsibilities are proportional to pi(h) times the configuration
     likelihood, and the M-step averages them over features. The composite
     log-likelihood trace is non-decreasing; iteration stops when its
-    relative change drops below tol.
+    relative change drops below tol, and warns when max_iter ends it first.
 
     Parameters
     ----------
@@ -270,12 +270,22 @@ def em_fit(
             break
         pi = pi * _direction(like, counts / mixture) / m
         pi /= pi.sum()
+    em_trace = np.array(trace)
+    if not converged:
+        change = float("nan")
+        if len(trace) > 1:
+            change = abs(em_trace[-1] - em_trace[-2]) / abs(em_trace[-2])
+        warnings.warn(
+            f"EM did not converge in {len(trace)} iterations "
+            f"(last relative change {change:.3g}, tolerance {tol:g})",
+            stacklevel=2,
+        )
 
     model = ConfigModel(
         space=tuple(space),
         pi=pi,
         conditionals=cond,
-        em_trace=np.array(trace),
+        em_trace=em_trace,
         converged=converged,
         n_iter=len(trace),
     )

@@ -68,27 +68,35 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_fit_reports_all_studies(self, sim_dir, tmp_path, capsys):
-        code = run(["fit", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+    """fits.json, the per-study two-group fits that analyze writes."""
+
+    def test_fit_reports_all_studies(self, sim_dir, tmp_path):
+        code = run(["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
         assert code == 0
         payload = json.loads((tmp_path / "fits.json").read_text())
         assert len(payload["studies"]) == 3
         assert all(s["qualifies"] for s in payload["studies"])
 
-    def test_pure_null_study_is_excluded(self, tmp_path):
+    def test_pure_null_study_is_excluded(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        z = np.vstack([rng.normal(size=3000), rng.uniform(-0.3, 0.3, size=3000)])
+        ok = np.concatenate([rng.normal(size=2700), rng.normal(3, 1, size=300)])
+        z = np.vstack([ok, rng.uniform(-0.3, 0.3, size=3000)])
         panel = ZPanel(
             tuple(f"rs{j}" for j in range(3000)), ("ok", "flat"), z
         )
         write_zpanel(panel, tmp_path / "panel.tsv")
-        code = run(["fit", "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path])
-        assert code == 0
-        payload = json.loads((tmp_path / "fits.json").read_text())
-        flat = [s for s in payload["studies"] if s["study_id"] == "flat"][0]
-        assert not flat["qualifies"]
-        assert "null fraction" in flat["exclusion_reason"]
-        assert flat["fA_hat"] is None
+        for hypothesis, exit_code in (("na", 0), ("both", 4)):
+            out = tmp_path / hypothesis
+            code = run(["analyze", "--input", tmp_path / "panel.tsv", "--out-dir", out,
+                        "--hypothesis", hypothesis])
+            assert code == exit_code
+            payload = json.loads((out / "fits.json").read_text())
+            flat = [s for s in payload["studies"] if s["study_id"] == "flat"][0]
+            assert not flat["qualifies"]
+            assert "null fraction" in flat["exclusion_reason"]
+            assert flat["fA_hat"] is None
+        assert "two qualifying studies" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == ["fits.json"]
 
 
 class TestAnalyze:
@@ -312,7 +320,6 @@ class TestErrorChannels:
 
 
 SURFACE = {
-    "fit": ["--input", "--out-dir", "--bins"],
     "analyze": ["--input", "--out-dir", "--bins", "--q", "--hypothesis", "--em-tol",
                 "--em-max-iter"],
     "compare": ["--input", "--out-dir", "--q", "--hypothesis"],
@@ -359,6 +366,13 @@ class TestSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_fit_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", "p.tsv", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunRecords:
     def test_record_contains_digests_and_versions(self, sim_dir, tmp_path):
@@ -388,10 +402,9 @@ class TestRunRecords:
         record = json.loads((sim_dir / "simulate.run.json").read_text())
         assert record["parameters"]["statistic"] == "contingency"
 
-    @pytest.mark.parametrize("command", ["fit", "analyze", "compare", "simulate", "evaluate"])
+    @pytest.mark.parametrize("command", ["analyze", "compare", "simulate", "evaluate"])
     def test_record_parameters_are_the_commands_own_flags(self, sim_dir, tmp_path, command):
         argv = {
-            "fit": ["fit", "--input", sim_dir / "zpanel.tsv"],
             "analyze": ["analyze", "--input", sim_dir / "zpanel.tsv"],
             "compare": ["compare", "--input", sim_dir / "zpanel.tsv"],
             "simulate": ["simulate", "--snps", 500],

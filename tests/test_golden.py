@@ -21,6 +21,8 @@ GOLDEN_N3 = {
         "ee0347e9259ff4a16182464fbe17aeb59148c41eec2918d49e38be89891574e9",
     "sim/truth.tsv":
         "938f30c85f95e0f6415109b511442aaf407b0b8eb9e65d961b0e6572cac10609",
+    "eb/fits.json":
+        "88e776e823ae35e9fcce3755f5a453085318fa497b48abb91935fdcfa178db34",
     "eb/report_eb.tsv":
         "0fce22f19f16db5f8f9408e54ac8ce11d2bcb063de306b4dc886db619e50a052",
     "eb/metrics.json":

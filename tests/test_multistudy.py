@@ -266,8 +266,20 @@ class TestEmFit:
         cond = analytic_conditionals(2, b=15)
         bins = np.zeros((2, 5), dtype=int)
         bins[:, :] = 7
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="5 features for 9 configurations"):
             em_fit(make_binned(bins), cond, max_iter=5)
+
+    def test_iteration_limit_warns_with_the_last_relative_change(self):
+        rng = np.random.default_rng(5)
+        cond = analytic_conditionals(2, b=25)
+        bins, _ = sample_panel_bins(rng, cond, np.full(9, 1 / 9), 1500)
+        message = (
+            r"EM did not converge in 3 iterations "
+            r"\(last relative change \S+, tolerance 1e-08\)$"
+        )
+        with pytest.warns(UserWarning, match=message):
+            model = em_fit(make_binned(bins), cond, max_iter=3)
+        assert not model.converged
 
     def test_zero_mixture_names_snp(self):
         cond = analytic_conditionals(1, b=15, lo=-6, hi=6)

@@ -8,7 +8,7 @@ So src/ never imports scipy.stats, and imports scipy.special only inside
 the two simulator functions that call its ufuncs, which only simulate
 reaches. compare takes its normal tails from math.erfc and its Fisher tail
 in closed form. These tests keep both modules out of a fresh
-`import crossrep.cli` and scipy.special out of fit, analyze, evaluate and
+`import crossrep.cli` and scipy.special out of analyze, evaluate and
 compare, check each scipy.special stand-in and literal bit for bit against
 scipy.stats, and hold the meta-analysis p-values to their accuracy
 contract against mpmath and the scipy.stats formula, which only the tests
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc, log_ndtr, ndtri
+from scipy.special import chdtrc, ndtri
 from scipy.stats import chi2, norm
 
 import crossrep
@@ -80,11 +80,10 @@ def test_importing_the_cli_does_not_load(module):
     assert fresh_python(code) == "False"
 
 
-def test_fit_analyze_and_evaluate_never_load_scipy_special(tmp_path):
+def test_analyze_and_evaluate_never_load_scipy_special(tmp_path):
     assert main(["simulate", "--snps", "2000", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     zpanel, truth, report = tmp_path / "zpanel.tsv", tmp_path / "truth.tsv", tmp_path / "report_eb.tsv"
     runs = [
-        ["fit", "--input", zpanel, "--out-dir", tmp_path],
         ["analyze", "--input", zpanel, "--out-dir", tmp_path],
         ["evaluate", "--report", report, "--truth", truth, "--out-dir", tmp_path],
     ]
@@ -94,7 +93,7 @@ def test_fit_analyze_and_evaluate_never_load_scipy_special(tmp_path):
         "print([(argv[0], main(argv), 'scipy.special' in sys.modules) for argv in runs])"
     )
     last_line = fresh_python(code).splitlines()[-1]
-    assert last_line == str([("fit", 0, False), ("analyze", 0, False), ("evaluate", 0, False)])
+    assert last_line == str([("analyze", 0, False), ("evaluate", 0, False)])
 
 
 def test_compare_never_loads_scipy_special(tmp_path):
@@ -116,10 +115,6 @@ def test_central_quartiles_are_ndtri_bit_for_bit():
 def test_ndtri_is_norm_ppf():
     assert np.array_equal(bits(ndtri(Q_GRID)), bits(norm.ppf(Q_GRID)))
     assert type(ndtri(0.25)) is type(norm.ppf(0.25))
-
-
-def test_log_ndtr_is_norm_logcdf():
-    assert np.array_equal(bits(log_ndtr(Z_GRID)), bits(norm.logcdf(Z_GRID)))
 
 
 @pytest.mark.parametrize("df", [2, 4, 6, 8, 10, 12, 14, 16])
