@@ -7,7 +7,9 @@ no-association null is rejected at a target Bayes FDR. A directional
 meta-analysis comparator and a case-control simulation harness round out
 the pipeline.
 
-Start-up cost: only simulate loads scipy.special; compare needs only math.erfc.
+Start-up cost: no command loads scipy. compare takes its normal tails from
+math.erfc, and simulate carries bit-for-bit ports of scipy.special's expit
+and ndtri_exp; scipy is needed only by the tests.
 """
 
 from .configspace import (

@@ -120,17 +120,11 @@ def cmd_analyze(args, out: Path) -> dict:
 def cmd_compare(args, out: Path) -> dict:
     labels = _labels(args.hypothesis)
     panel = io.read_zpanel(args.input)
-    columns = {}
-    for label in labels:
-        if label == "na":
-            p = metap.no_association_pvalues(panel.z)
-        else:
-            p = metap.no_replicability_pvalues(panel.z)
-        columns[label] = {
-            "p": p,
-            "p_adjusted": metap.bh_adjust(p),
-            "rejected": metap.bh_procedure(p, args.q),
-        }
+    pvalues = metap.partial_conjunction_pvalues(panel.z, [_HYP_LABELS[label] for label in labels])
+    columns = {
+        label: {"p": p, "p_adjusted": metap.bh_adjust(p), "rejected": metap.bh_procedure(p, args.q)}
+        for label, p in zip(labels, pvalues)
+    }
     io.write_comparison_report(out / "report_meta.tsv", panel.snp_ids, columns)
     for label, col in columns.items():
         print(f"{label}: rejected {int(col['rejected'].sum())} of {panel.n_snps}")

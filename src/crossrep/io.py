@@ -16,7 +16,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .configspace import config_from_string, config_to_string
@@ -329,7 +328,6 @@ def run_record(command: str, params: dict, inputs: dict) -> dict:
         "versions": {
             "crossrep": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "inputs": {name: sha256_file(p) for name, p in inputs.items()},
         "warnings": [],

@@ -43,31 +43,34 @@ def _even_chi2_tail(k: int, y: np.ndarray) -> np.ndarray:
     return np.exp(top - y + np.log(np.exp(-top) + np.exp(log_terms, out=log_terms).sum(axis=0)))
 
 
-def _partial_conjunction(z_panel, kind: HypothesisKind) -> np.ndarray:
-    """Partial-conjunction p-values of an (n, M) panel, one per feature.
+def partial_conjunction_pvalues(z_panel, kinds) -> list[np.ndarray]:
+    """Partial-conjunction p-values of an (n, M) panel, one vector per null kind.
 
     Each value's smaller normal tail Phi(-|z|) = erfc(|z| / sqrt 2) / 2 is
-    taken once; a side's log tail is its log, floored at log(1e-300), or
-    log1p of its complement, by the sign of z. The study-major copy sums
-    over studies in one order for any memory layout.
+    taken once for all kinds; a side's log tail is its log, floored at
+    log(1e-300), or log1p of its complement, by the sign of z. The
+    study-major copy sums over studies in one order for any memory layout.
     """
     z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
     n = z.shape[0]
-    u = checked_shared_signs(kind, n)
+    shared = [checked_shared_signs(kind, n) for kind in kinds]
     scaled = memoryview((np.abs(z) / np.sqrt(2.0)).ravel())  # yields Python floats, no copy
     small = 0.5 * np.fromiter(map(erfc, scaled), float, z.size).reshape(z.shape)
     del scaled  # frees an n x M array before the two logs
     far = np.log1p(-small)
     near = np.log(np.maximum(small, P_FLOOR, out=small), out=small)
-    sides = []
-    # left then right log tails, one n x M array at a time
-    for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
-        if u > 1:
-            # zero, not subtract, the u - 1 most negative: the rest sum as on their own
-            strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
-            np.put_along_axis(log_tail, strongest, 0.0, axis=0)
-        sides.append(_even_chi2_tail(n - u + 1, -log_tail.sum(axis=0)))
-    return np.minimum(1.0, 2.0 * np.minimum(*sides))
+    pvalues = []
+    for u in shared:
+        sides = []
+        # left then right log tails, one n x M array at a time
+        for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
+            if u > 1:
+                # zero, not subtract, the u - 1 most negative: the rest sum as on their own
+                strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
+                np.put_along_axis(log_tail, strongest, 0.0, axis=0)
+            sides.append(_even_chi2_tail(n - u + 1, -log_tail.sum(axis=0)))
+        pvalues.append(np.minimum(1.0, 2.0 * np.minimum(*sides)))
+    return pvalues
 
 
 def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
@@ -76,7 +79,7 @@ def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
     z_panel has shape (n, M) with one row per study. At u = 1 the p-value is
     2 * min(left, right) of the Fisher combinations, capped at 1.
     """
-    return _partial_conjunction(z_panel, HypothesisKind.NO_ASSOCIATION)
+    return partial_conjunction_pvalues(z_panel, [HypothesisKind.NO_ASSOCIATION])[0]
 
 
 def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
@@ -85,7 +88,7 @@ def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
     Per side the strongest study is left out, so neither one study alone
     nor two studies of opposite sign give a small value.
     """
-    return _partial_conjunction(z_panel, HypothesisKind.NO_REPLICABILITY)
+    return partial_conjunction_pvalues(z_panel, [HypothesisKind.NO_REPLICABILITY])[0]
 
 
 def bh_procedure(p, q: float) -> np.ndarray:

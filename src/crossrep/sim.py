@@ -8,10 +8,17 @@ frequencies via Bayes' rule. Tables become z-scores through either the
 signed Cochran-Armitage trend statistic or the signed two-sided
 contingency transform (the panel default); both are standard normal under
 no association.
+
+The two scipy.special functions the simulator needs, expit and ndtri_exp,
+are ported here bit for bit (tests/test_startup.py checks them), so that
+simulate never loads scipy. Their exp, expm1 and log come from the math
+module, which calls the C library as scipy does; NumPy's own exp differs
+from it in the last bit on about 5 % of inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -164,12 +171,39 @@ def draw_truth(design: SimDesign) -> TruthPanel:
     return TruthPanel(snp_ids, statuses, theta, maf)
 
 
+def _libm(fun, x) -> np.ndarray:
+    """A math-module function at each value of a float array."""
+    x = np.asarray(x, dtype=float)
+    values = memoryview(np.ascontiguousarray(x).ravel())  # yields Python floats, no copy
+    return np.fromiter(map(fun, values), float, x.size).reshape(x.shape)
+
+
+_EXP_MAX = 709.782712893384  # the largest x with a finite exp(x); math.exp raises past it
+
+
+def _exp(x) -> np.ndarray:
+    """libm exp at each value of a float array, inf where it overflows."""
+    x = np.asarray(x, dtype=float)
+    e = _libm(math.exp, np.minimum(x, _EXP_MAX))
+    e[x > _EXP_MAX] = np.inf
+    return e
+
+
+def _expit(x: np.ndarray, alpha: float) -> np.ndarray:
+    """scipy.special.expit, 1 / (1 + exp(-x)), bit for bit.
+
+    Null features and dose 0 give x == alpha exactly; those share one exp.
+    """
+    moved = x != alpha
+    e = np.full(x.shape, _exp(-alpha))
+    e[moved] = _exp(-x[moved])
+    return 1.0 / (1.0 + e)
+
+
 def disease_prob_per_dose(theta: np.ndarray, alpha: float) -> np.ndarray:
     """Disease probability at each dose (0, 0.5, 1) under the logistic model."""
-    from scipy.special import expit
-
     theta = np.asarray(theta, dtype=float)
-    return expit(alpha + theta[..., None] * DOSE_SCORES)
+    return _expit(alpha + theta[..., None] * DOSE_SCORES, alpha)
 
 
 def case_control_dose_probs(
@@ -204,6 +238,53 @@ def simulate_study(truth: TruthPanel, design: SimDesign, study: int) -> np.ndarr
     return np.stack([cases, controls], axis=1)
 
 
+def _margins(tables):
+    """Cells, row totals, dose-column totals and grand totals of 2x3 tables.
+
+    Returns float arrays of shapes (2, 3, M), (2, M), (3, M) and (M,), and
+    whether a single table was given. Counts are integers, so every margin
+    is an exact sum.
+    """
+    t = np.asarray(tables)
+    squeeze = t.ndim == 2
+    if squeeze:
+        t = t[None]
+    if t.ndim != 3 or t.shape[1:] != (2, 3):
+        raise DataError("expected tables of shape (..., 2, 3)")
+    cells = np.moveaxis(t, 0, -1).astype(float, order="C")
+    rows = cells[:, 0] + cells[:, 1] + cells[:, 2]
+    cols = cells[0] + cells[1]
+    return cells, rows, cols, rows[0] + rows[1], squeeze
+
+
+def _trend_z(cells, rows, cols, total) -> np.ndarray:
+    n_cases, n_controls = rows
+    if np.any(n_cases <= 0) or np.any(n_controls <= 0):
+        raise DataError("each table needs at least one case and one control")
+    # (0, 0.5, 1) dose sums; half-integers, so exact
+    case_score, control_score = 0.5 * cells[:, 1] + cells[:, 2]
+    # centered statistic written as (C * sum(s*r) - R * sum(s*c)) / N so that
+    # swapping the case and control rows negates it exactly in float arithmetic
+    centered = (n_controls * case_score - n_cases * control_score) / total
+    mean_score = (0.5 * cols[1] + cols[2]) / total
+    score_var = np.clip((0.25 * cols[1] + cols[2]) / total - mean_score**2, 0.0, None)
+    var = n_cases * n_controls * score_var / (total - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(var > 0, centered / np.sqrt(var), 0.0)
+
+
+def _pearson(cells, rows, cols, total) -> np.ndarray:
+    stat = None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # cases then controls, dose by dose: the order of a C-order sum over both axes
+        for r in range(2):
+            for j in range(3):
+                expected = rows[r] * cols[j] / total
+                cell = np.where(expected > 0, (cells[r, j] - expected) ** 2 / expected, 0.0)
+                stat = cell if stat is None else stat + cell
+    return stat
+
+
 def z_from_tables(tables: np.ndarray) -> np.ndarray:
     """Signed Cochran-Armitage trend z-scores for a stack of 2x3 tables.
 
@@ -212,45 +293,90 @@ def z_from_tables(tables: np.ndarray) -> np.ndarray:
     statistic is standard normal for large tables under no association.
     Zero-variance (monomorphic) tables get z = 0.
     """
-    t = np.asarray(tables, dtype=float)
-    squeeze = t.ndim == 2
-    if squeeze:
-        t = t[None]
-    if t.ndim != 3 or t.shape[1:] != (2, 3):
-        raise DataError("expected tables of shape (..., 2, 3)")
-    cases = t[:, 0, :]
-    controls = t[:, 1, :]
-    col = cases + controls
-    n_cases = cases.sum(axis=1)
-    n_controls = controls.sum(axis=1)
-    total = n_cases + n_controls
-    if np.any(n_cases <= 0) or np.any(n_controls <= 0):
-        raise DataError("each table needs at least one case and one control")
-    # centered statistic written as (C * sum(s*r) - R * sum(s*c)) / N so that
-    # swapping the case and control rows negates it exactly in float arithmetic
-    centered = (n_controls * (cases @ DOSE_SCORES) - n_cases * (controls @ DOSE_SCORES)) / total
-    mean_score = (col @ DOSE_SCORES) / total
-    score_var = np.clip((col @ DOSE_SCORES**2) / total - mean_score**2, 0.0, None)
-    var = n_cases * n_controls * score_var / (total - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(var > 0, centered / np.sqrt(var), 0.0)
+    *margins, squeeze = _margins(tables)
+    z = _trend_z(*margins)
     return z[0] if squeeze else z
 
 
 def pearson_statistic(tables: np.ndarray) -> np.ndarray:
     """Pearson chi-square statistic (2 df) for a stack of 2x3 tables."""
-    t = np.asarray(tables, dtype=float)
-    squeeze = t.ndim == 2
-    if squeeze:
-        t = t[None]
-    row = t.sum(axis=2, keepdims=True)
-    col = t.sum(axis=1, keepdims=True)
-    total = t.sum(axis=(1, 2), keepdims=True)
-    expected = row * col / total
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cells = np.where(expected > 0, (t - expected) ** 2 / expected, 0.0)
-    stat = cells.sum(axis=(1, 2))
+    *margins, squeeze = _margins(tables)
+    stat = _pearson(*margins)
     return stat[0] if squeeze else stat
+
+
+# Cephes ndtri coefficients, as scipy.special carries them
+_NDTRI_S2PI = 2.50662827463100050242e0
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_LOG1M_EXP_M2 = -0.14541345786885906  # log1p(-exp(-2))
+
+
+def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes polevl by Horner's rule; p1evl, with an implicit leading 1, if monic."""
+    ans = x + coef[0] if monic else np.full(x.shape, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri_tail(x: np.ndarray) -> np.ndarray:
+    """Cephes ndtri(p) for 0 < p <= exp(-2), given x = sqrt(-2 log p)."""
+    z = 1.0 / x
+    x1 = np.empty(x.shape)
+    near = x < 8.0  # p > exp(-32)
+    for part, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
+        x1[part] = z[part] * _polevl(z[part], p) / _polevl(z[part], q, monic=True)
+    return x1 - (x - _libm(math.log, x) / x)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri (Cephes) for 0 <= p <= 1 - exp(-2), bit for bit.
+
+    Cephes reflects p above 1 - exp(-2) into the tail; no caller gets there.
+    """
+    x = np.full(p.shape, -np.inf)  # p = 0
+    central = p > _EXP_M2
+    y = p[central] - 0.5
+    y2 = y * y
+    ratio = y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, monic=True)
+    x[central] = (y + y * ratio) * _NDTRI_S2PI
+    tail = ~central & (p != 0.0)
+    x[tail] = _ndtri_tail(np.sqrt(-2.0 * _libm(math.log, p[tail])))
+    return x
+
+
+def _ndtri_exp(y: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri_exp, the normal quantile of exp(y), bit for bit.
+
+    For -DBL_MAX / 2 <= y <= 0, which holds every -stat / 2 of a finite
+    stat >= 0; below that Cephes rescales sqrt(-2 y), which is left out.
+    """
+    x = np.empty(y.shape)
+    small = y < -2.0
+    x[small] = _ndtri_tail(np.sqrt(-2.0 * y[small]))
+    upper = y > _LOG1M_EXP_M2  # 0 <= -expm1(y) < exp(-2)
+    x[upper] = -_ndtri(-_libm(math.expm1, y[upper]))
+    mid = ~(small | upper)  # exp(-2) <= exp(y) <= 1 - exp(-2)
+    x[mid] = _ndtri(_libm(math.exp, y[mid]))
+    return x
 
 
 def z_from_tables_contingency(tables: np.ndarray) -> np.ndarray:
@@ -264,13 +390,13 @@ def z_from_tables_contingency(tables: np.ndarray) -> np.ndarray:
     is standard normal; monomorphic tables again get z = 0. The quantile of
     the log upper tail, -stat / 2, keeps |z| accurate for any statistic.
     """
-    from scipy.special import ndtri_exp
-
-    stat = pearson_statistic(tables)
-    trend = z_from_tables(tables)
-    magnitude = -ndtri_exp(-0.5 * stat)
+    *margins, squeeze = _margins(tables)
+    stat = _pearson(*margins)
+    trend = _trend_z(*margins)
+    magnitude = -_ndtri_exp(-0.5 * stat)
     with np.errstate(invalid="ignore"):  # a monomorphic table: sign 0 times magnitude -inf
-        return np.where(trend == 0.0, 0.0, np.sign(trend) * magnitude)
+        z = np.where(trend == 0.0, 0.0, np.sign(trend) * magnitude)
+    return z[0] if squeeze else z
 
 
 _PANEL_STATISTICS = {

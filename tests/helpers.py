@@ -276,6 +276,23 @@ def z_from_table(table):
     return float(cr.z_from_tables(np.asarray(table)))
 
 
+def three_sum_pearson_statistic(tables):
+    """Pearson chi-square (2 df) of a stack of 2x3 tables, by array reductions.
+
+    Row, column and grand totals are three sums over the float tables, and
+    the statistic is one sum over all six cells: the reference whose bits
+    sim.pearson_statistic keeps.
+    """
+    t = np.asarray(tables, dtype=float)
+    row = t.sum(axis=2, keepdims=True)
+    col = t.sum(axis=1, keepdims=True)
+    total = t.sum(axis=(1, 2), keepdims=True)
+    expected = row * col / total
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cells = np.where(expected > 0, (t - expected) ** 2 / expected, 0.0)
+    return cells.sum(axis=(1, 2))
+
+
 def study_qualifies(fit, threshold=cr.twogroup.DEFAULT_EXCLUSION_THRESHOLD):
     """True when the estimated null fraction is below the exclusion threshold."""
     return fit.pi0_hat < threshold

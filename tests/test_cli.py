@@ -380,7 +380,7 @@ class TestRunRecords:
         record = json.loads((tmp_path / "analyze.run.json").read_text())
         assert record["command"] == "analyze"
         assert len(record["inputs"]["zpanel"]) == 64
-        assert set(record["versions"]) == {"crossrep", "numpy", "scipy"}
+        assert set(record["versions"]) == {"crossrep", "numpy"}
         assert record["parameters"]["bins"] == 50
         assert record["parameters"]["q"] == 0.05
 

@@ -8,11 +8,13 @@ from scipy.stats import chi2, norm
 from crossrep import (
     ConfigError,
     DataError,
+    HypothesisKind,
     bh_adjust,
     bh_procedure,
     no_association_pvalues,
     no_replicability_pvalues,
 )
+from crossrep.metap import partial_conjunction_pvalues
 from helpers import (
     concordant_meta_pvalue,
     fisher_combine,
@@ -164,6 +166,22 @@ class TestNoAssociation:
                     continue
                 expected = [partial_conjunction_pvalue(z[:, j], u) for j in range(40)]
                 assert_allclose(pvalues(z), expected, rtol=1e-10)
+
+
+class TestBothNulls:
+    def test_shared_tails_give_each_null_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        z = rng.normal(size=(5, 3000)) + rng.choice([-4.0, 0.0, 4.0], size=(5, 3000))
+        z[:, :4] = [[40.0], [-40.0], [np.inf], [0.0], [-0.0]]
+        nr, na = partial_conjunction_pvalues(z, [HypothesisKind.NO_REPLICABILITY,
+                                                 HypothesisKind.NO_ASSOCIATION])
+        assert nr.tobytes() == no_replicability_pvalues(z).tobytes()
+        assert na.tobytes() == no_association_pvalues(z).tobytes()
+
+    def test_a_null_beyond_the_study_count_fails(self):
+        kinds = [HypothesisKind.NO_ASSOCIATION, HypothesisKind.NO_REPLICABILITY]
+        with pytest.raises(ConfigError, match="two studies"):
+            partial_conjunction_pvalues(np.array([[1.5, -0.3]]), kinds)
 
 
 class TestManyStudies:

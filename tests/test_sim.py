@@ -20,7 +20,7 @@ from crossrep import (
     z_from_tables_contingency,
 )
 from crossrep.sim import case_control_dose_probs, disease_prob_per_dose
-from helpers import z_from_table
+from helpers import three_sum_pearson_statistic, z_from_table
 
 NA = cr.HypothesisKind.NO_ASSOCIATION
 NR = cr.HypothesisKind.NO_REPLICABILITY
@@ -187,6 +187,20 @@ class TestContingencyZ:
         for k in range(20):
             ref = chi2_contingency(tables[k], correction=False)[0]
             assert ours[k] == pytest.approx(ref, rel=1e-12)
+
+    def test_pearson_statistic_is_the_three_sum_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        tables = rng.integers(0, 3000, size=(20_000, 2, 3))
+        tables[:500, :, 1:] = 0  # monomorphic: four expected cells are 0
+        tables[500:1000, :, 1] = 0  # one empty dose column
+        tables[1000:1100, 1] = 0  # no controls
+        design = default_design(n_snps=5000, seed=12)
+        simulated = simulate_study(draw_truth(design), design, 0)
+        for t in (tables, simulated, tables[[0]], tables[[2000]]):
+            stat = pearson_statistic(t)
+            assert np.array_equal(stat.view(np.uint64), three_sum_pearson_statistic(t).view(np.uint64))
+        assert pearson_statistic(tables[2000]) == three_sum_pearson_statistic(tables[[2000]])[0]
+        assert np.all(pearson_statistic(tables[:500]) == 0.0)
 
     def test_sign_follows_trend_direction(self):
         rng = np.random.default_rng(10)

@@ -4,15 +4,14 @@ Each command is a fresh process. On a 2-vCPU VM bare Python starts in
 0.04-0.06 s, numpy brings that to 0.13-0.23 s and `import crossrep.cli` to
 0.19-0.29 s; scipy.special would add 0.22-0.32 s more, and scipy.stats
 about a second.
-So src/ never imports scipy.stats, and imports scipy.special only inside
-the two simulator functions that call its ufuncs, which only simulate
-reaches. compare takes its normal tails from math.erfc and its Fisher tail
-in closed form. These tests keep both modules out of a fresh
-`import crossrep.cli` and scipy.special out of analyze, evaluate and
-compare, check each scipy.special stand-in and literal bit for bit against
-scipy.stats, and hold the meta-analysis p-values to their accuracy
-contract against mpmath and the scipy.stats formula, which only the tests
-import.
+So src/ never imports scipy. compare takes its normal tails from math.erfc
+and its Fisher tail in closed form, and simulate carries NumPy ports of
+scipy.special's expit and ndtri_exp whose exp, expm1 and log come from the
+math module. These tests keep every scipy module out of a fresh
+`import crossrep.cli` and out of all four commands, check each
+scipy.special stand-in and literal bit for bit against scipy, and hold the
+meta-analysis p-values to their accuracy contract against mpmath and the
+scipy.stats formula. scipy is a test-only dependency.
 """
 
 import os
@@ -22,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, expit, ndtri, ndtri_exp
 from scipy.stats import chi2, norm
 
 import crossrep
-from crossrep import twogroup
+from crossrep import sim, twogroup
 from crossrep.cli import main
 from crossrep.twogroup import normal_pdf
 from helpers import concordant_meta_pvalues, fisher_combine, mpmath_partial_conjunction_pvalue
@@ -74,7 +73,7 @@ def fresh_python(code: str) -> str:
     return result.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.special"])
 def test_importing_the_cli_does_not_load(module):
     code = f"import sys, crossrep, crossrep.cli; print({module!r} in sys.modules)"
     assert fresh_python(code) == "False"
@@ -104,6 +103,71 @@ def test_compare_never_loads_scipy_special(tmp_path):
         f"print((main({argv!r}), 'scipy.special' in sys.modules))"
     )
     assert fresh_python(code).splitlines()[-1] == "(0, False)"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    runs = [
+        ["simulate", "--snps", "2000", "--seed", "3", "--out-dir", tmp_path],
+        ["analyze", "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path],
+        ["compare", "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path],
+        ["evaluate", "--report", tmp_path / "report_eb.tsv", "--truth", tmp_path / "truth.tsv",
+         "--out-dir", tmp_path],
+    ]
+    code = (
+        "import sys; from crossrep.cli import main\n"
+        f"runs = {[list(map(str, argv)) for argv in runs]!r}\n"
+        "print([(argv[0], main(argv), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        " for argv in runs])"
+    )
+    last_line = fresh_python(code).splitlines()[-1]
+    assert last_line == str([(command, 0, []) for command in ("simulate", "analyze", "compare", "evaluate")])
+
+
+# Where ndtri_exp(y) switches: y = -2 (the small-y branch), y = log1p(-e^-2)
+# (the complement branch) and the Cephes x = 8 switch on both paths that
+# reach the tail formula, y = -32 and y = log1p(-e^-32); y = -0.0 is stat 0.
+Y_SWITCHES = np.array([-0.0, -2.0, np.log1p(-np.exp(-2.0)), -32.0, np.log1p(-np.exp(-32.0))])
+# Pearson statistics: the switches (stat = 4 is y = -2 exactly), subnormal,
+# 3e6 and 1e300, each with its neighbours, then the chi-square(2) null and
+# a heavier tail.
+STAT_GRID = np.concatenate(
+    [
+        -2.0 * Y_SWITCHES,
+        [5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1.0, 3e6, 1e300],
+        np.logspace(-323, 308, 6311),
+        np.random.default_rng(1).exponential(2.0, 20_000),
+        np.random.default_rng(2).exponential(100.0, 5_000),
+    ]
+)
+STAT_GRID = np.concatenate(
+    [STAT_GRID, np.nextafter(STAT_GRID, 0.0), np.nextafter(STAT_GRID, np.inf), [np.finfo(float).max]]
+)
+
+
+def test_ndtri_exp_stand_in_is_scipy_bit_for_bit():
+    y = -0.5 * STAT_GRID
+    assert np.array_equal(bits(y[: Y_SWITCHES.size]), bits(Y_SWITCHES))
+    with np.errstate(divide="ignore"):  # ndtri_exp(-0.0) = inf
+        expected = ndtri_exp(y)
+    assert np.array_equal(bits(sim._ndtri_exp(y)), bits(expected))
+    # every switch reached from both sides
+    near = np.concatenate([np.nextafter(Y_SWITCHES[1:], -np.inf), np.nextafter(Y_SWITCHES[1:], 0.0)])
+    assert np.array_equal(bits(sim._ndtri_exp(near)), bits(ndtri_exp(near)))
+
+
+@pytest.mark.parametrize("alpha", [-6.0, 0.0, -3.3])
+def test_expit_stand_in_is_scipy_bit_for_bit(alpha):
+    theta = np.concatenate(
+        [
+            [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1e-300, -1e-300, 3.0, -3.0, 1e3, -1e3, 800.0, -800.0],
+            np.random.default_rng(3).uniform(-1.0, 1.0, 20_000),
+            np.random.default_rng(4).normal(scale=30.0, size=5_000),
+        ]
+    )
+    x = alpha + theta[:, None] * sim.DOSE_SCORES  # x == alpha at dose 0 and theta = 0
+    assert np.count_nonzero(x == alpha) > theta.size
+    assert np.array_equal(bits(sim._expit(x, alpha)), bits(expit(x)))
+    assert np.array_equal(bits(sim.disease_prob_per_dose(theta, alpha)), bits(expit(x)))
 
 
 def test_central_quartiles_are_ndtri_bit_for_bit():
