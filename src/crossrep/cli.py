@@ -150,14 +150,14 @@ def cmd_simulate(args, out: Path) -> dict:
 
 def cmd_evaluate(args, out: Path) -> dict:
     snp_ids, masks = io.read_report_rejections(args.report)
-    truth, _ = io.read_truth(args.truth)
-    if snp_ids != truth.snp_ids:
+    truth_ids, statuses, _ = io.read_truth_statuses(args.truth)
+    if snp_ids != truth_ids:
         raise DataError("report and truth cover different snp sets")
     metrics = {}
     for label, mask in masks.items():
         if label not in _HYP_LABELS:
             continue
-        metrics[label] = sim.evaluate(mask, truth, _HYP_LABELS[label]).to_json()
+        metrics[label] = sim.evaluate(mask, statuses, _HYP_LABELS[label]).to_json()
     if not metrics:
         raise DataError("report contains no recognized hypothesis columns")
     io.write_json(out / "metrics.json", metrics)

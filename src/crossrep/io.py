@@ -114,7 +114,7 @@ def _field_count(fields: list[str], width: int) -> str | None:
 
 
 def _read_table(path, lines: list[str], cells, line_fault):
-    """Token columns below the header, and the cell columns parsed whole.
+    """Snp ids (column 0) below the header, and the cell columns parsed whole.
 
     cells lists (column index, parser) in the order a line is checked. Only
     when a check fails are the lines walked one by one, to raise the error
@@ -126,8 +126,7 @@ def _read_table(path, lines: list[str], cells, line_fault):
         if list(map(str.count, body, repeat("\t"))).count(len(header) - 1) != len(body):
             raise ValueError("wrong field count")
         tokens = "\t".join(body).split("\t") if body else []
-        columns = [tokens[k :: len(header)] for k in range(len(header))]
-        return columns, [parse(columns[k]) for k, parse in cells]
+        return tokens[:: len(header)], [parse(tokens[k :: len(header)]) for k, parse in cells]
     except ValueError:
         pass
     for lineno, line in enumerate(body, start=2):
@@ -161,8 +160,8 @@ def read_zpanel(path) -> ZPanel:
     if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
     cells = [(k, _floats) for k in range(1, len(header))]
-    columns, z = _read_table(path, lines, cells, _panel_line_fault)
-    return ZPanel(tuple(columns[0]), tuple(header[1:]), np.array(z))
+    snp_ids, z = _read_table(path, lines, cells, _panel_line_fault)
+    return ZPanel(tuple(snp_ids), tuple(header[1:]), np.array(z))
 
 
 def _panel_line_fault(fields: list[str], width: int) -> str | None:
@@ -199,6 +198,7 @@ def model_payload(model: ConfigModel, study_ids) -> dict:
         "em_trace": model.em_trace.tolist(),
         "converged": model.converged,
         "n_iter": model.n_iter,
+        "em_gap": model.em_gap,
     }
 
 
@@ -244,8 +244,8 @@ def read_report_rejections(path):
     if not labels:
         raise DataError(f"{path}: no rejected_* columns found")
     cells = [(k, _flags) for k in labels.values()]
-    columns, masks = _read_table(path, lines, cells, _field_count)
-    return tuple(columns[0]), dict(zip(labels, masks))
+    snp_ids, masks = _read_table(path, lines, cells, _field_count)
+    return tuple(snp_ids), dict(zip(labels, masks))
 
 
 def write_truth(truth: TruthPanel, study_ids, path) -> None:
@@ -257,24 +257,42 @@ def write_truth(truth: TruthPanel, study_ids, path) -> None:
     _write_table(path, header, truth.snp_ids, cells)
 
 
-def read_truth(path) -> tuple[TruthPanel, list[str]]:
-    lines = _read_lines(path)
+def _truth_header(path, lines: list[str]) -> tuple[int, list[str]]:
+    """Width of a truth TSV and its study ids; a header without whole studies is a DataError."""
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
-    study_ids = [name.removeprefix("h_") for name in header[1::3]]
-    n, width = len(study_ids), len(header)
+    return len(header), [name.removeprefix("h_") for name in header[1::3]]
+
+
+def read_truth(path) -> tuple[TruthPanel, list[str]]:
+    lines = _read_lines(path)
+    width, study_ids = _truth_header(path, lines)
+    n = len(study_ids)
     # A line is checked status columns first, then theta, then maf.
     cells = [(k, _statuses) for k in range(1, width, 3)]
     cells += [(k, _floats) for k in [*range(2, width, 3), *range(3, width, 3)]]
-    columns, values = _read_table(path, lines, cells, _truth_line_fault)
+    snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
     truth = TruthPanel(
-        tuple(columns[0]),
+        tuple(snp_ids),
         np.array(values[:n], dtype=np.int8),
         np.array(values[n : 2 * n]),
         np.array(values[2 * n :]),
     )
     return truth, study_ids
+
+
+def read_truth_statuses(path) -> tuple[tuple, np.ndarray, list[str]]:
+    """snp ids, the (n, M) int8 statuses and the study ids of a truth TSV.
+
+    Parses the h_* columns only: theta and maf cells are not read, so neither
+    they nor their agreement with the statuses is checked (read_truth does).
+    """
+    lines = _read_lines(path)
+    width, study_ids = _truth_header(path, lines)
+    cells = [(k, _statuses) for k in range(1, width, 3)]
+    snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
+    return tuple(snp_ids), np.array(values, dtype=np.int8), study_ids
 
 
 def _truth_line_fault(fields: list[str], width: int) -> str | None:

@@ -110,6 +110,8 @@ class ConfigModel:
     em_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = True
     n_iter: int = 0
+    # Lindsay's bound on L(best pi) - L(pi) in nats; None when pi was not fit by em_fit
+    em_gap: float | None = None
     # set by em_fit, never by __init__, so dataclasses.replace cannot carry it stale
     likelihood: CollapsedLikelihood | None = field(
         default=None, init=False, repr=False, compare=False
@@ -224,6 +226,9 @@ def em_fit(
     likelihood, and the M-step averages them over features. The composite
     log-likelihood trace is non-decreasing; iteration stops when its
     relative change drops below tol, and warns when max_iter ends it first.
+    The returned model's em_gap bounds how far its log-likelihood L lies
+    below the maximum: L(pi*) - L(pi) <= m log max_k g_k, with g the EM
+    direction at pi (Lindsay 1983, Ann. Statist. 11:86).
 
     Parameters
     ----------
@@ -271,13 +276,17 @@ def em_fit(
         pi = pi * _direction(like, counts / mixture) / m
         pi /= pi.sum()
     em_trace = np.array(trace)
+    if not converged:  # pi moved after the last mixture
+        mixture = _mixture(like, pi)
+    gap = m * float(np.log(_direction(like, counts / mixture).max() / m))
     if not converged:
         change = float("nan")
         if len(trace) > 1:
             change = abs(em_trace[-1] - em_trace[-2]) / abs(em_trace[-2])
         warnings.warn(
             f"EM did not converge in {len(trace)} iterations "
-            f"(last relative change {change:.3g}, tolerance {tol:g})",
+            f"(last relative change {change:.3g}, tolerance {tol:g}, "
+            f"log-likelihood gap at most {gap:.3g} nats)",
             stacklevel=2,
         )
 
@@ -288,6 +297,7 @@ def em_fit(
         em_trace=em_trace,
         converged=converged,
         n_iter=len(trace),
+        em_gap=gap,
     )
     object.__setattr__(model, "likelihood", collapsed)
     return model

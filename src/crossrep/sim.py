@@ -439,17 +439,18 @@ class SimMetrics:
         return asdict(self)
 
 
-def evaluate(rejections, truth: TruthPanel, kind: HypothesisKind) -> SimMetrics:
+def evaluate(rejections, truth, kind: HypothesisKind) -> SimMetrics:
     """Score a rejection set against the known truth.
 
-    Accepts a DiscoveryReport or a boolean mask. The false discovery
-    proportion divides by max(R, 1); power is the fraction of non-null
-    features recovered.
+    Accepts a DiscoveryReport or a boolean mask, and a TruthPanel or its
+    (n, M) status array. The false discovery proportion divides by
+    max(R, 1); power is the fraction of non-null features recovered.
     """
     rejected = np.asarray(getattr(rejections, "rejected", rejections), dtype=bool)
-    if rejected.shape != (truth.n_snps,):
+    statuses = np.asarray(getattr(truth, "statuses", truth))
+    if statuses.ndim != 2 or rejected.shape != statuses.shape[1:]:
         raise DataError("rejection vector does not match the truth panel")
-    null_true = null_truth_mask(truth.statuses, kind)
+    null_true = null_truth_mask(statuses, kind)
     n_rejected = int(rejected.sum())
     false_disc = int((rejected & null_true).sum())
     true_disc = n_rejected - false_disc

@@ -152,8 +152,11 @@ class TestAnalyze:
         assert code == 0
         err = capsys.readouterr().err
         assert "warning: EM did not converge in 3 iterations" in err
-        assert "last relative change" in err
-        assert not json.loads((tmp_path / "model.json").read_text())["converged"]
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert not model["converged"]
+        assert model["em_gap"] > 0
+        assert "last relative change " in err
+        assert f"log-likelihood gap at most {model['em_gap']:.3g} nats)" in err
 
     def test_unconverged_em_is_in_the_run_record(self, sim_dir, tmp_path, capsys):
         code = run(
@@ -234,6 +237,34 @@ class TestEvaluate:
              "--truth", other / "truth.tsv", "--out-dir", tmp_path]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("report", ["report_eb.tsv", "report_meta.tsv"])
+    def test_parses_no_float_of_the_truth(self, sim_dir, tmp_path, monkeypatch, report):
+        command = "analyze" if report == "report_eb.tsv" else "compare"
+        assert run([command, "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path]) == 0
+        argv = ["evaluate", "--report", tmp_path / report, "--truth", sim_dir / "truth.tsv"]
+        assert run(argv + ["--out-dir", tmp_path / "plain"]) == 0
+
+        def no_floats(tokens):
+            raise AssertionError("evaluate parsed a float column")
+
+        monkeypatch.setattr(cio, "_floats", no_floats)
+        assert run(argv + ["--out-dir", tmp_path / "patched"]) == 0
+        plain, patched = (tmp_path / d / "metrics.json" for d in ("plain", "patched"))
+        assert patched.read_bytes() == plain.read_bytes()
+
+    def test_truth_line_missing_a_field_is_data_error(self, sim_dir, tmp_path, capsys):
+        run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        lines = (sim_dir / "truth.tsv").read_text().splitlines()
+        lines[4] = lines[4].rsplit("\t", 1)[0]
+        (tmp_path / "truth.tsv").write_text("\n".join(lines) + "\n")
+        code = run(
+            ["evaluate", "--report", tmp_path / "report_meta.tsv",
+             "--truth", tmp_path / "truth.tsv", "--out-dir", tmp_path]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'truth.tsv'}: line 5: wrong field count\n")
 
 
 class TestErrorChannels:

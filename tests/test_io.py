@@ -148,7 +148,8 @@ class TestReportIO:
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "reader",
-        [cio.read_zpanel, cio.read_truth, cio.read_report_rejections, cio.read_json],
+        [cio.read_zpanel, cio.read_truth, cio.read_report_rejections, cio.read_json,
+         cio.read_truth_statuses],
     )
     def test_missing_file_is_data_error(self, tmp_path, reader):
         with pytest.raises(DataError, match=r"missing\.tsv: cannot read"):
@@ -400,3 +401,57 @@ class TestErrorParity:
         message = outcome(cio.read_zpanel, path)
         assert message == f"{path}: line 2: expected 3 fields, got 2"
         assert message == outcome(helpers.read_zpanel_rows, path)
+
+
+class TestTruthStatuses:
+    """read_truth_statuses is read_truth restricted to the h_* columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(truth_and_ids=truths())
+    def test_matches_read_truth(self, truth_and_ids):
+        truth, study_ids = truth_and_ids
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "truth.tsv")
+            cio.write_truth(truth, study_ids, path)
+            (full, full_ids), (snp_ids, statuses, ids) = (
+                cio.read_truth(path), cio.read_truth_statuses(path))
+        assert snp_ids == full.snp_ids == truth.snp_ids
+        assert ids == full_ids == study_ids
+        assert exact(statuses, full.statuses)
+
+    @pytest.mark.parametrize(
+        "header", ["snp_id", "snp_id\th_a\ttheta_a", "id\th_a\ttheta_a\tmaf_a"])
+    def test_malformed_header_matches_read_truth(self, tmp_path, header):
+        path = tmp_path / "truth.tsv"
+        path.write_text(header + "\n" + "rs1" + "\t0" * header.count("\t") + "\n")
+        message = outcome(cio.read_truth_statuses, path)
+        assert message == f"{path}: malformed truth header"
+        assert message == outcome(cio.read_truth, path)
+
+    @pytest.mark.parametrize("lineno", [2, 5], ids=["first", "later"])
+    @pytest.mark.parametrize("fault,column,token", [
+        ("blank line", None, None),
+        ("missing field", None, None),
+        ("extra field", None, None),
+        ("bad status", 4, "2"),
+        ("fractional status", 1, "1.0"),
+        ("empty status", 4, ""),
+    ])
+    def test_line_faults_match_read_truth(self, tmp_path, fault, column, token, lineno):
+        path = base_files(tmp_path)["truth"]
+        inject(path, lineno, fault, column, token)
+        message = outcome(cio.read_truth_statuses, path)
+        assert message is not None and message.startswith(f"{path}: line {lineno}: ")
+        assert message == outcome(cio.read_truth, path)
+        if column is not None:
+            header = path.read_text().split("\n", 1)[0].split("\t")
+            assert f"column {header[column]!r}" in message and header[column].startswith("h_")
+
+    def test_theta_and_maf_cells_are_not_parsed(self, tmp_path):
+        path = base_files(tmp_path)["truth"]
+        inject(path, 3, "non-number", 2, "x")  # theta_s1
+        inject(path, 4, "non-finite", 6, "nan")  # maf_s2
+        assert "column 'theta_s1'" in outcome(cio.read_truth, path)
+        snp_ids, statuses, study_ids = cio.read_truth_statuses(path)
+        assert snp_ids == tuple(f"rs{j}" for j in range(5)) and study_ids == ["s1", "s2"]
+        assert statuses.tolist() == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]

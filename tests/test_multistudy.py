@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -275,11 +276,42 @@ class TestEmFit:
         bins, _ = sample_panel_bins(rng, cond, np.full(9, 1 / 9), 1500)
         message = (
             r"EM did not converge in 3 iterations "
-            r"\(last relative change \S+, tolerance 1e-08\)$"
+            r"\(last relative change \S+, tolerance 1e-08, "
+            r"log-likelihood gap at most (\S+) nats\)$"
         )
-        with pytest.warns(UserWarning, match=message):
+        with pytest.warns(UserWarning, match=message) as record:
             model = em_fit(make_binned(bins), cond, max_iter=3)
         assert not model.converged
+        (quoted,) = re.search(message, str(record[-1].message)).groups()
+        assert quoted == f"{model.em_gap:.3g}"
+
+    def test_certified_gap_bounds_the_distance_to_a_long_run(self):
+        rng = np.random.default_rng(1)
+        cond = analytic_conditionals(3, b=25)
+        bins, _ = sample_panel_bins(rng, cond, rng.dirichlet(np.ones(27)), 1500)
+        binned = make_binned(bins)
+        status_idx = np.array(cr.enumerate_configurations(3)) + 1
+        combos, _, counts = unique_rows_collapse(binned.bin_index)
+        like = gather_likelihood_matrix(cond, status_idx, combos)
+
+        def loglik(pi):
+            return float(counts @ np.log(pi @ like))
+
+        def lindsay_gap(pi):  # m log max_k g_k with g = like @ (counts / mixture) / m
+            return counts.sum() * np.log((like @ (counts / (pi @ like))).max() / counts.sum())
+
+        with pytest.warns(UserWarning, match="EM did not converge"):
+            fits = [em_fit(binned, cond, max_iter=3)]
+        fits += [em_fit(binned, cond, tol=tol) for tol in (1e-4, 1e-8, 1e-12)]
+        long_run = em_fit(binned, cond, tol=0.0)  # runs until L stops changing at all
+        fits.append(long_run)
+        for fit in fits:
+            assert fit.em_gap == pytest.approx(lindsay_gap(fit.pi), rel=1e-9, abs=1e-9)
+            assert fit.em_gap >= -1e-9
+            assert fit.em_gap >= loglik(long_run.pi) - loglik(fit.pi) - 1e-9
+        gaps = [fit.em_gap for fit in fits]
+        assert gaps == sorted(gaps, reverse=True)  # a tighter stop never raises it
+        assert gaps[-1] < 1e-3
 
     def test_zero_mixture_names_snp(self):
         cond = analytic_conditionals(1, b=15, lo=-6, hi=6)

@@ -321,6 +321,18 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(np.zeros(4, dtype=bool), truth, NA)
 
+    def test_status_array_scores_like_its_truth_panel(self):
+        rng = np.random.default_rng(21)
+        truth = self.make_truth(rng.choice([-1, 0, 1], size=(3, 80)))
+        rejected = rng.random(80) < 0.4
+        for kind in (NA, NR):
+            assert evaluate(rejected, truth.statuses, kind) == evaluate(rejected, truth, kind)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
+    def test_status_array_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(DataError, match="does not match the truth panel"):
+            evaluate(np.zeros(5, dtype=bool), np.zeros(shape, dtype=np.int8), NA)
+
     def test_accepts_discovery_report(self):
         report = cr.fdr_report(np.array([0.0, 1.0, 1.0]), q=0.05)
         truth = self.make_truth(np.array([[1, 0, 0], [1, 0, 0]]))
