@@ -9,72 +9,36 @@ the pipeline.
 
 Start-up cost: no command loads scipy. compare takes its normal tails from
 math.erfc, and simulate carries bit-for-bit ports of scipy.special's expit
-and ndtri_exp; scipy is needed only by the tests.
+and ndtri_exp; scipy is needed only by the tests. The names below are
+imported on first access (PEP 562), so `import crossrep.cli`, its parser and
+evaluate load no numpy; simulate, analyze and compare import it when they run.
 """
 
-from .configspace import (
-    HypothesisKind,
-    HypothesisSet,
-    config_from_string,
-    config_to_string,
-    enumerate_configurations,
-    is_null_member,
-    no_replicability_size,
-    null_subset,
-    null_truth_mask,
-)
-from .errors import (
-    ConfigError,
-    CrossrepError,
-    DataError,
-    DegenerateAlternativeError,
-    FitError,
-    ModelError,
-    SizeLimitError,
-    StudyExcludedError,
-)
-from .twogroup import (
-    BinnedPanel,
-    TwoGroupFit,
-    ZPanel,
-    alternative_density,
-    bin_panel,
-    estimate_marginal_density,
-    estimate_pi0,
-    fit_panel,
-    fit_study,
-    local_fdr_single,
-    null_bin_density,
-)
-from .multistudy import (
-    ConditionalBinDensities,
-    ConfigModel,
-    DiscoveryReport,
-    build_conditionals,
-    em_fit,
-    fdr_report,
-    local_fdr_panel,
-    oracle_report,
-    posterior,
-)
-from .metap import (
-    bh_adjust,
-    bh_procedure,
-    no_association_pvalues,
-    no_replicability_pvalues,
-)
-from .sim import (
-    SimDesign,
-    SimMetrics,
-    TruthPanel,
-    default_design,
-    draw_truth,
-    evaluate,
-    pearson_statistic,
-    simulate_panel,
-    simulate_study,
-    z_from_tables,
-    z_from_tables_contingency,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "configspace": "HypothesisKind HypothesisSet config_from_string config_to_string"
+    " enumerate_configurations is_null_member no_replicability_size null_subset null_truth_mask",
+    "errors": "ConfigError CrossrepError DataError DegenerateAlternativeError FitError"
+    " ModelError SizeLimitError StudyExcludedError",
+    "twogroup": "BinnedPanel TwoGroupFit ZPanel alternative_density bin_panel estimate_pi0"
+    " estimate_marginal_density fit_panel fit_study local_fdr_single null_bin_density",
+    "multistudy": "ConditionalBinDensities ConfigModel DiscoveryReport build_conditionals em_fit"
+    " fdr_report local_fdr_panel oracle_report posterior",
+    "metap": "bh_adjust bh_procedure no_association_pvalues no_replicability_pvalues",
+    "sim": "SimDesign SimMetrics TruthPanel default_design draw_truth evaluate pearson_statistic"
+    " simulate_panel simulate_study z_from_tables z_from_tables_contingency",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "io"}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        return getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

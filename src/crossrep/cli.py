@@ -3,25 +3,24 @@
 Every command reads TSV/JSON, writes its outputs atomically into the
 output directory together with a run record (its own parameters, versions,
 input digests, warnings), and exits 0 on success, 2 on parameter errors,
-3 on data errors and 4 on model errors.
+3 on data errors and 4 on model errors. The numerical modules are imported
+by the commands that use them: the parser and evaluate load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
+from itertools import compress
 from pathlib import Path
 
-from . import io, metap, multistudy, sim, twogroup
-from .configspace import HypothesisKind, null_subset
-from .errors import ConfigError, CrossrepError, DataError, ModelError, fdr_level
+from . import io
+from .errors import (DEFAULT_BIN_COUNT, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, MIN_BIN_COUNT,
+                     ConfigError, CrossrepError, DataError, ModelError, fdr_level)
 
-_HYP_LABELS = {
-    "na": HypothesisKind.NO_ASSOCIATION,
-    "nr": HypothesisKind.NO_REPLICABILITY,
-}
+# Hypothesis label -> u: its null holds while fewer than u studies share a sign.
+_HYP_LABELS = {"na": 1, "nr": 2}
 
 
 # Option types. A value that parses but is out of range raises ConfigError,
@@ -29,8 +28,8 @@ _HYP_LABELS = {
 
 def bin_count(text: str) -> int:
     bins = int(text)
-    if bins < twogroup.MIN_BIN_COUNT:
-        raise ConfigError(f"bin count must be at least {twogroup.MIN_BIN_COUNT}")
+    if bins < MIN_BIN_COUNT:
+        raise ConfigError(f"bin count must be at least {MIN_BIN_COUNT}")
     return bins
 
 
@@ -48,8 +47,11 @@ def em_iterations(text: str) -> int:
     return limit
 
 
-def _labels(hypothesis: str) -> list[str]:
-    return ["nr", "na"] if hypothesis == "both" else [hypothesis]
+def _nulls(hypothesis: str) -> dict:
+    """Label -> named null of each hypothesis a --hypothesis value selects."""
+    from .configspace import NAMED_NULLS
+    labels = ["nr", "na"] if hypothesis == "both" else [hypothesis]
+    return {label: NAMED_NULLS[_HYP_LABELS[label] - 1] for label in labels}
 
 
 def _out_dir(args) -> Path:
@@ -76,7 +78,9 @@ def _write_record(out: Path, args, inputs: dict, notes: list[str]):
 # the input files to digest.
 
 def cmd_analyze(args, out: Path) -> dict:
-    labels = _labels(args.hypothesis)
+    from . import multistudy, twogroup
+    from .configspace import null_subset
+    nulls = _nulls(args.hypothesis)
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
     fits = twogroup.fit_panel(panel, binned)
@@ -86,7 +90,7 @@ def cmd_analyze(args, out: Path) -> dict:
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
         print(f"excluding study {sid}: {reason}", file=sys.stderr)
-    for kind in (_HYP_LABELS[label] for label in labels):
+    for kind in nulls.values():
         if len(included) < kind.shared_signs:
             need = ("one qualifying study", "two qualifying studies")[kind.shared_signs - 1]
             raise ModelError(f"the {kind.value.replace('_', '-')} analysis needs at least {need}")
@@ -100,8 +104,8 @@ def cmd_analyze(args, out: Path) -> dict:
         snp_ids=panel.snp_ids,
     )
     reports = {}
-    for label in labels:
-        null_set = null_subset(_HYP_LABELS[label], len(included))
+    for label, kind in nulls.items():
+        null_set = null_subset(kind, len(included))
         lf = multistudy.local_fdr_panel(sub_binned, model, null_set, panel.snp_ids)
         reports[label] = multistudy.fdr_report(lf, args.q, null_set)
     payload = io.model_payload(model, [panel.study_ids[i] for i in included])
@@ -118,12 +122,13 @@ def cmd_analyze(args, out: Path) -> dict:
 
 
 def cmd_compare(args, out: Path) -> dict:
-    labels = _labels(args.hypothesis)
+    from . import metap
+    nulls = _nulls(args.hypothesis)
     panel = io.read_zpanel(args.input)
-    pvalues = metap.partial_conjunction_pvalues(panel.z, [_HYP_LABELS[label] for label in labels])
+    pvalues = metap.partial_conjunction_pvalues(panel.z, list(nulls.values()))
     columns = {
         label: {"p": p, "p_adjusted": metap.bh_adjust(p), "rejected": metap.bh_procedure(p, args.q)}
-        for label, p in zip(labels, pvalues)
+        for label, p in zip(nulls, pvalues)
     }
     io.write_comparison_report(out / "report_meta.tsv", panel.snp_ids, columns)
     for label, col in columns.items():
@@ -132,6 +137,8 @@ def cmd_compare(args, out: Path) -> dict:
 
 
 def cmd_simulate(args, out: Path) -> dict:
+    import dataclasses
+    from . import sim
     if args.design:
         design = io.design_from_payload(io.read_json(args.design))
     else:
@@ -148,16 +155,33 @@ def cmd_simulate(args, out: Path) -> dict:
     return {"design": args.design} if args.design else {}
 
 
+def _scores(masks: dict, statuses: list[list[int]]) -> dict:
+    """sim.evaluate's metrics of each hypothesis's rejection mask, in plain Python: a feature
+    is null for u while max(#(+1), #(-1)) over its studies' statuses is below u."""
+    shared = [max(column.count(1), column.count(-1)) for column in zip(*statuses)]
+    metrics = {}
+    for label, rejected in masks.items():
+        if label not in _HYP_LABELS:
+            continue
+        u = _HYP_LABELS[label]
+        n_rejected = sum(rejected)
+        false_disc = sum(s < u for s in compress(shared, rejected))
+        metrics[label] = {
+            "n_rejected": n_rejected,
+            "false_discoveries": false_disc,
+            "true_discoveries": n_rejected - false_disc,
+            "fdp": false_disc / max(n_rejected, 1),
+            "power": (n_rejected - false_disc) / max(sum(s >= u for s in shared), 1),
+        }
+    return metrics
+
+
 def cmd_evaluate(args, out: Path) -> dict:
     snp_ids, masks = io.read_report_rejections(args.report)
     truth_ids, statuses, _ = io.read_truth_statuses(args.truth)
     if snp_ids != truth_ids:
         raise DataError("report and truth cover different snp sets")
-    metrics = {}
-    for label, mask in masks.items():
-        if label not in _HYP_LABELS:
-            continue
-        metrics[label] = sim.evaluate(mask, statuses, _HYP_LABELS[label]).to_json()
+    metrics = _scores(masks, statuses)
     if not metrics:
         raise DataError("report contains no recognized hypothesis columns")
     io.write_json(out / "metrics.json", metrics)
@@ -180,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="per-study fits and empirical Bayes discovery reports")
     p_an.add_argument("--input", required=True, help="z-score panel TSV")
-    p_an.add_argument("--bins", type=bin_count, default=twogroup.DEFAULT_BIN_COUNT)
+    p_an.add_argument("--bins", type=bin_count, default=DEFAULT_BIN_COUNT)
     _add_level_flags(p_an)
-    p_an.add_argument("--em-tol", type=em_tolerance, default=multistudy.EM_DEFAULT_TOL)
-    p_an.add_argument("--em-max-iter", type=em_iterations, default=multistudy.EM_DEFAULT_MAX_ITER)
+    p_an.add_argument("--em-tol", type=em_tolerance, default=EM_DEFAULT_TOL)
+    p_an.add_argument("--em-max-iter", type=em_iterations, default=EM_DEFAULT_MAX_ITER)
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare", help="meta-analysis p-value comparator")

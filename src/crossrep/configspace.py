@@ -36,7 +36,10 @@ class HypothesisKind(Enum):
         """u of a named null: it holds while fewer than u studies share a sign."""
         if self is HypothesisKind.CUSTOM:
             raise ConfigError("the null predicate is defined only for the named nulls")
-        return 1 if self is HypothesisKind.NO_ASSOCIATION else 2
+        return NAMED_NULLS.index(self) + 1
+
+
+NAMED_NULLS = (HypothesisKind.NO_ASSOCIATION, HypothesisKind.NO_REPLICABILITY)  # by u - 1
 
 
 def checked_shared_signs(kind: HypothesisKind, n: int) -> int:

@@ -1,8 +1,14 @@
-"""Exception hierarchy for the package, and the FDR level check.
+"""Exception hierarchy for the package, the FDR level check and the option defaults.
 
 The three branches map onto distinct CLI exit codes so callers can tell
 bad parameters (2) from bad input data (3) from estimation failures (4).
+The defaults live here so that the CLI parser can be built without numpy.
 """
+
+DEFAULT_BIN_COUNT = 50
+MIN_BIN_COUNT = 10
+EM_DEFAULT_TOL = 1e-8
+EM_DEFAULT_MAX_ITER = 10_000
 
 
 class CrossrepError(Exception):

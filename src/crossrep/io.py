@@ -3,7 +3,8 @@
 All files are plain text. Writes go through a temp file plus rename so a
 crashed run never leaves a half-written output, and nothing written here
 depends on wall-clock time, so identical inputs give byte-identical
-outputs.
+outputs. numpy and the model types are imported where arrays or models are
+built, so reading flags and truth statuses (all evaluate does) loads no numpy.
 """
 
 from __future__ import annotations
@@ -11,18 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
-from .configspace import config_from_string, config_to_string
 from .errors import DataError
-from .multistudy import ConfigModel
-from .sim import SimDesign, TruthPanel
-from .twogroup import BinnedPanel, TwoGroupFit, ZPanel
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .multistudy import ConfigModel
+    from .sim import SimDesign, TruthPanel
+    from .twogroup import BinnedPanel, TwoGroupFit, ZPanel
 
 _FLOAT_FMT = "%.17g"
 
@@ -82,6 +84,7 @@ def sha256_file(path) -> str:
 # Column parsers raise a ValueError whose message is the error for one bad token.
 
 def _floats(tokens: list[str]) -> np.ndarray:
+    import numpy as np
     try:
         values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
@@ -91,7 +94,14 @@ def _floats(tokens: list[str]) -> np.ndarray:
     return values
 
 
+_STATUS_TOKENS = {"-1": -1, "0": 0, "1": 1}
+
+
 def _statuses(tokens: list[str]) -> list[int]:
+    try:
+        return list(map(_STATUS_TOKENS.__getitem__, tokens))
+    except KeyError:  # a token write_truth does not write: int() decides
+        pass
     try:
         values = list(map(int, tokens))
     except ValueError:
@@ -101,10 +111,10 @@ def _statuses(tokens: list[str]) -> list[int]:
     return values
 
 
-def _flags(tokens: list[str]) -> np.ndarray:
+def _flags(tokens: list[str]) -> list[bool]:
     if not set(tokens) <= {"0", "1"}:
         raise ValueError("bad rejection flag {token!r}")
-    return np.array(tokens, dtype=str) == "1"
+    return list(map("1".__eq__, tokens))
 
 
 def _field_count(fields: list[str], width: int) -> str | None:
@@ -146,6 +156,7 @@ def _read_table(path, lines: list[str], cells, line_fault):
 
 def _write_table(path, header: list[str], snp_ids, cells) -> None:
     """TSV of snp ids and (format, values) columns, one format string per row."""
+    import numpy as np
     row = "\t".join(["%s", *(fmt for fmt, _ in cells)])
     rows = map(row.__mod__, zip(snp_ids, *(np.asarray(v).tolist() for _, v in cells)))
     _atomic_write(path, "\n".join(["\t".join(header), *rows]) + "\n")
@@ -153,6 +164,7 @@ def _write_table(path, header: list[str], snp_ids, cells) -> None:
 
 def read_zpanel(path) -> ZPanel:
     """Read a z-score panel TSV: header snp_id then one column per study."""
+    from .twogroup import ZPanel
     lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 2:
@@ -161,7 +173,7 @@ def read_zpanel(path) -> ZPanel:
         raise DataError(f"{path}: no data rows")
     cells = [(k, _floats) for k in range(1, len(header))]
     snp_ids, z = _read_table(path, lines, cells, _panel_line_fault)
-    return ZPanel(tuple(snp_ids), tuple(header[1:]), np.array(z))
+    return ZPanel(tuple(snp_ids), tuple(header[1:]), z)
 
 
 def _panel_line_fault(fields: list[str], width: int) -> str | None:
@@ -193,7 +205,8 @@ def fits_payload(fits: list[TwoGroupFit], binned: BinnedPanel) -> dict:
 def model_payload(model: ConfigModel, study_ids) -> dict:
     return {
         "study_ids": list(study_ids),
-        "configurations": [config_to_string(h) for h in model.space],
+        # the lexicographic order of model.space, which ConfigModel enforces
+        "configurations": list(map("".join, product("-0+", repeat=model.n_studies))),
         "pi": model.pi.tolist(),
         "em_trace": model.em_trace.tolist(),
         "converged": model.converged,
@@ -230,8 +243,8 @@ def write_comparison_report(path, snp_ids, columns: dict) -> None:
     _write_table(path, header, snp_ids, cells)
 
 
-def read_report_rejections(path):
-    """Rejection masks keyed by hypothesis label from any report TSV."""
+def read_report_rejections(path) -> tuple[tuple, dict[str, list[bool]]]:
+    """Snp ids and the rejection masks keyed by hypothesis label of any report TSV."""
     lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id":
@@ -266,6 +279,8 @@ def _truth_header(path, lines: list[str]) -> tuple[int, list[str]]:
 
 
 def read_truth(path) -> tuple[TruthPanel, list[str]]:
+    import numpy as np
+    from .sim import TruthPanel
     lines = _read_lines(path)
     width, study_ids = _truth_header(path, lines)
     n = len(study_ids)
@@ -273,17 +288,12 @@ def read_truth(path) -> tuple[TruthPanel, list[str]]:
     cells = [(k, _statuses) for k in range(1, width, 3)]
     cells += [(k, _floats) for k in [*range(2, width, 3), *range(3, width, 3)]]
     snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
-    truth = TruthPanel(
-        tuple(snp_ids),
-        np.array(values[:n], dtype=np.int8),
-        np.array(values[n : 2 * n]),
-        np.array(values[2 * n :]),
-    )
-    return truth, study_ids
+    statuses = np.array(values[:n], dtype=np.int8)
+    return TruthPanel(tuple(snp_ids), statuses, values[n : 2 * n], values[2 * n :]), study_ids
 
 
-def read_truth_statuses(path) -> tuple[tuple, np.ndarray, list[str]]:
-    """snp ids, the (n, M) int8 statuses and the study ids of a truth TSV.
+def read_truth_statuses(path) -> tuple[tuple, list[list[int]], list[str]]:
+    """snp ids, each study's list of M statuses and the study ids of a truth TSV.
 
     Parses the h_* columns only: theta and maf cells are not read, so neither
     they nor their agreement with the statuses is checked (read_truth does).
@@ -292,7 +302,7 @@ def read_truth_statuses(path) -> tuple[tuple, np.ndarray, list[str]]:
     width, study_ids = _truth_header(path, lines)
     cells = [(k, _statuses) for k in range(1, width, 3)]
     snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
-    return tuple(snp_ids), np.array(values, dtype=np.int8), study_ids
+    return tuple(snp_ids), values, study_ids
 
 
 def _truth_line_fault(fields: list[str], width: int) -> str | None:
@@ -300,6 +310,7 @@ def _truth_line_fault(fields: list[str], width: int) -> str | None:
 
 
 def design_payload(design: SimDesign) -> dict:
+    from .configspace import config_to_string
     return {
         "n_studies": design.n_studies,
         "n_snps": design.n_snps,
@@ -316,6 +327,8 @@ def design_payload(design: SimDesign) -> dict:
 
 
 def design_from_payload(payload: dict) -> SimDesign:
+    from .configspace import config_from_string
+    from .sim import SimDesign
     try:
         return SimDesign(
             n_studies=int(payload["n_studies"]),
@@ -343,10 +356,8 @@ def run_record(command: str, params: dict, inputs: dict) -> dict:
     return {
         "command": command,
         "parameters": params,
-        "versions": {
-            "crossrep": __version__,
-            "numpy": np.__version__,
-        },
+        "versions": {m: sys.modules[m].__version__ for m in ("crossrep", "numpy")
+                     if m in sys.modules},
         "inputs": {name: sha256_file(p) for name, p in inputs.items()},
         "warnings": [],
     }

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import HypothesisSet, enumerate_configurations
-from .errors import ConfigError, DataError, DegenerateAlternativeError, ModelError, fdr_level
+from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError, DataError,
+                     DegenerateAlternativeError, ModelError, fdr_level)
 from .twogroup import BinnedPanel, TwoGroupFit, normal_pdf
-
-EM_DEFAULT_TOL = 1e-8
-EM_DEFAULT_MAX_ITER = 10_000
 
 _STATUSES = (-1, 0, 1)
 

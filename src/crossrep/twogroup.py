@@ -20,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateAlternativeError,
-    FitError,
-    StudyExcludedError,
-)
+from .errors import (DEFAULT_BIN_COUNT, MIN_BIN_COUNT, ConfigError, DataError,
+                     DegenerateAlternativeError, FitError, StudyExcludedError)
 
-DEFAULT_BIN_COUNT = 50
-MIN_BIN_COUNT = 10
 DEFAULT_EXCLUSION_THRESHOLD = 1.0 - 1e-9
 POLY_DEGREE = 7
 IRLS_MAX_ITER = 200
@@ -49,8 +42,8 @@ class ZPanel:
     z: np.ndarray
 
     def __post_init__(self):
-        snp_ids = tuple(str(s) for s in self.snp_ids)
-        study_ids = tuple(str(s) for s in self.study_ids)
+        snp_ids = tuple(map(str, self.snp_ids))
+        study_ids = tuple(map(str, self.study_ids))
         z = np.array(self.z, dtype=float)
         if z.ndim != 2:
             raise DataError("z must be a 2-d array of shape (n_studies, n_snps)")

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrep.io as cio
-from crossrep import DataError, TruthPanel, ZPanel, default_design, draw_truth
-from crossrep.multistudy import DiscoveryReport
+from crossrep import (DataError, TruthPanel, ZPanel, config_to_string, default_design,
+                      draw_truth, enumerate_configurations)
+from crossrep.multistudy import ConfigModel, DiscoveryReport
 
 import helpers
 
@@ -136,13 +137,21 @@ class TestReportIO:
         )
         back_ids, masks = cio.read_report_rejections(path)
         assert back_ids == ids
-        assert masks["na"].tolist() == [True, False, False]
+        assert masks["na"] == [True, False, False]
 
     def test_report_without_flags_is_rejected(self, tmp_path):
         path = tmp_path / "report.tsv"
         path.write_text("snp_id\tp_na\nrs1\t0.5\n")
         with pytest.raises(DataError, match="rejected"):
             cio.read_report_rejections(path)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_model_configurations_are_config_strings(n):
+    space = tuple(enumerate_configurations(n))
+    model = ConfigModel(space, np.full(len(space), 1.0 / len(space)), None)
+    payload = cio.model_payload(model, [f"s{i}" for i in range(n)])
+    assert payload["configurations"] == [config_to_string(h) for h in space]
 
 
 class TestUnreadableInput:
@@ -231,6 +240,19 @@ def exact(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def bool_list(values, mask):
+    """values is a list of bools equal to the boolean array mask."""
+    return (mask.dtype == bool and type(values) is list
+            and all(type(v) is bool for v in values) and values == mask.tolist())
+
+
+def int_lists(values, statuses):
+    """values is one list of ints per row of the int8 array statuses."""
+    return (statuses.dtype == np.int8 and type(values) is list
+            and all(type(v) is int for row in values for v in row)
+            and values == statuses.tolist())
+
+
 class TestColumnarCodec:
     @settings(max_examples=60, deadline=None)
     @given(panel=panels())
@@ -290,8 +312,8 @@ class TestColumnarCodec:
                 assert back_ids == ref_ids == tuple(snp_ids)
                 assert list(masks) == list(ref_masks) == list(columns)
                 for label, (_, _, rejected) in columns.items():
-                    assert exact(masks[label], ref_masks[label])
-                    assert masks[label].tolist() == rejected.tolist()
+                    assert bool_list(masks[label], ref_masks[label])
+                    assert masks[label] == rejected.tolist()
 
 
 def base_files(tmp_path):
@@ -417,7 +439,7 @@ class TestTruthStatuses:
                 cio.read_truth(path), cio.read_truth_statuses(path))
         assert snp_ids == full.snp_ids == truth.snp_ids
         assert ids == full_ids == study_ids
-        assert exact(statuses, full.statuses)
+        assert int_lists(statuses, full.statuses)
 
     @pytest.mark.parametrize(
         "header", ["snp_id", "snp_id\th_a\ttheta_a", "id\th_a\ttheta_a\tmaf_a"])
@@ -454,4 +476,15 @@ class TestTruthStatuses:
         assert "column 'theta_s1'" in outcome(cio.read_truth, path)
         snp_ids, statuses, study_ids = cio.read_truth_statuses(path)
         assert snp_ids == tuple(f"rs{j}" for j in range(5)) and study_ids == ["s1", "s2"]
-        assert statuses.tolist() == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
+        assert statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
+
+    def test_status_tokens_are_read_by_int(self, tmp_path):
+        # write_truth writes -1, 0 and 1; a token int() reads as one of them is accepted too
+        path = base_files(tmp_path)["truth"]
+        inject(path, 3, "status", 1, "+1")
+        inject(path, 4, "status", 1, " -1")
+        (full, _), (_, statuses, _) = cio.read_truth(path), cio.read_truth_statuses(path)
+        assert full.statuses.tolist() == statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
+        inject(path, 5, "status", 4, "1.0")
+        message = f"{path}: line 5: column 'h_s2': '1.0' is not -1, 0 or +1"
+        assert outcome(cio.read_truth, path) == outcome(cio.read_truth_statuses, path) == message

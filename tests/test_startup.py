@@ -1,19 +1,24 @@
 """Start-up cost guards.
 
 Each command is a fresh process. On a 2-vCPU VM bare Python starts in
-0.04-0.06 s, numpy brings that to 0.13-0.23 s and `import crossrep.cli` to
-0.19-0.29 s; scipy.special would add 0.22-0.32 s more, and scipy.stats
-about a second.
+0.04-0.07 s and `import numpy` takes 0.13-0.25 s; scipy.special would add
+0.22-0.32 s more, and scipy.stats about a second.
 So src/ never imports scipy. compare takes its normal tails from math.erfc
 and its Fisher tail in closed form, and simulate carries NumPy ports of
 scipy.special's expit and ndtri_exp whose exp, expm1 and log come from the
-math module. These tests keep every scipy module out of a fresh
-`import crossrep.cli` and out of all four commands, check each
-scipy.special stand-in and literal bit for bit against scipy, and hold the
-meta-analysis p-values to their accuracy contract against mpmath and the
-scipy.stats formula. scipy is a test-only dependency.
+math module. numpy is loaded only by the commands that compute with arrays:
+a fresh `import crossrep.cli` with its parser built, `--help`, a flag
+rejected while parsing and the whole evaluate command, which scores flags
+against statuses in plain Python, never load it. These tests keep scipy
+out of a fresh `import crossrep.cli` and out of all four commands, keep
+numpy out of the parser and evaluate, tie evaluate's scorer to
+sim.evaluate, check each scipy.special stand-in and literal bit for bit
+against scipy, and hold the meta-analysis p-values to their accuracy
+contract against mpmath and the scipy.stats formula. scipy is a test-only
+dependency.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -21,12 +26,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import chdtrc, expit, ndtri, ndtri_exp
 from scipy.stats import chi2, norm
 
 import crossrep
-from crossrep import sim, twogroup
+from crossrep import cli, sim, twogroup
 from crossrep.cli import main
+from crossrep.configspace import HypothesisKind
 from crossrep.twogroup import normal_pdf
 from helpers import concordant_meta_pvalues, fisher_combine, mpmath_partial_conjunction_pvalue
 
@@ -73,10 +81,77 @@ def fresh_python(code: str) -> str:
     return result.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.special"])
+@pytest.mark.parametrize("module", ["numpy", "scipy", "scipy.stats", "scipy.special"])
 def test_importing_the_cli_does_not_load(module):
-    code = f"import sys, crossrep, crossrep.cli; print({module!r} in sys.modules)"
+    code = (
+        "import sys, crossrep, crossrep.cli; crossrep.cli.build_parser()\n"
+        f"print({module!r} in sys.modules)"
+    )
     assert fresh_python(code) == "False"
+
+
+def fresh_main(runs) -> str:
+    """Last line a new interpreter prints after main(argv) for each argv in runs:
+    the exit codes (SystemExit counts) and whether numpy was loaded."""
+    code = (
+        "import sys; from crossrep.cli import main\n"
+        "codes = []\n"
+        f"for argv in {[list(map(str, argv)) for argv in runs]!r}:\n"
+        "    try:\n"
+        "        codes.append(main(argv))\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    return fresh_python(code).splitlines()[-1]
+
+
+def test_simulate_analyze_and_compare_load_numpy_and_run_in_one_process(tmp_path):
+    runs = [
+        ["simulate", "--snps", "2000", "--seed", "3", "--out-dir", tmp_path],
+        ["analyze", "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path],
+        ["compare", "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path],
+    ]
+    assert fresh_main(runs) == "[0, 0, 0] True"
+    record = json.loads((tmp_path / "analyze.run.json").read_text())
+    assert set(record["versions"]) == {"crossrep", "numpy"}
+
+
+def test_evaluate_help_and_parse_errors_never_load_numpy(tmp_path):
+    assert main(["simulate", "--snps", "2000", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    for command in ("analyze", "compare"):
+        argv = [command, "--input", tmp_path / "zpanel.tsv", "--out-dir", tmp_path]
+        assert main(list(map(str, argv))) == 0
+    runs = [
+        ["evaluate", "--report", tmp_path / report, "--truth", tmp_path / "truth.tsv",
+         "--out-dir", tmp_path / out]
+        for report, out in (("report_eb.tsv", "eb"), ("report_meta.tsv", "meta"))
+    ]
+    runs += [["--help"], ["analyze", "--input", tmp_path / "zpanel.tsv", "--q", "2",
+                          "--out-dir", tmp_path / "q2"]]
+    assert fresh_main(runs) == "[0, 0, 0, 2] False"
+    assert not (tmp_path / "q2").exists()
+    for out in ("eb", "meta"):
+        record = json.loads((tmp_path / out / "evaluate.run.json").read_text())
+        assert set(record["versions"]) == {"crossrep"}
+        assert set(json.loads((tmp_path / out / "metrics.json").read_text())) == {"nr", "na"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), label=st.sampled_from(["na", "nr"]))
+def test_evaluate_scorer_is_sim_evaluate(data, n, label):
+    m = data.draw(st.integers(0, 40))
+    statuses = data.draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m),
+                                  min_size=n, max_size=n))
+    mask = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    got = cli._scores({label: mask, "other": mask}, statuses)
+    assert list(got) == [label]
+    got = got[label]
+    kind = {"na": HypothesisKind.NO_ASSOCIATION, "nr": HypothesisKind.NO_REPLICABILITY}[label]
+    want = sim.evaluate(np.array(mask, dtype=bool),
+                        np.array(statuses, dtype=np.int8).reshape(n, m), kind).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert [type(v) for v in got.values()] == [type(want[k]) for k in got]
 
 
 def test_analyze_and_evaluate_never_load_scipy_special(tmp_path):
