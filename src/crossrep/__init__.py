@@ -19,7 +19,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "configspace": "HypothesisKind HypothesisSet config_from_string config_to_string"
+    "configspace": "HypothesisSet config_from_string config_to_string"
     " enumerate_configurations is_null_member no_replicability_size null_subset null_truth_mask",
     "errors": "ConfigError CrossrepError DataError DegenerateAlternativeError FitError"
     " ModelError SizeLimitError StudyExcludedError",

@@ -48,10 +48,9 @@ def em_iterations(text: str) -> int:
 
 
 def _nulls(hypothesis: str) -> dict:
-    """Label -> named null of each hypothesis a --hypothesis value selects."""
-    from .configspace import NAMED_NULLS
+    """Label -> u of each hypothesis a --hypothesis value selects."""
     labels = ["nr", "na"] if hypothesis == "both" else [hypothesis]
-    return {label: NAMED_NULLS[_HYP_LABELS[label] - 1] for label in labels}
+    return {label: _HYP_LABELS[label] for label in labels}
 
 
 def _out_dir(args) -> Path:
@@ -90,10 +89,10 @@ def cmd_analyze(args, out: Path) -> dict:
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
         print(f"excluding study {sid}: {reason}", file=sys.stderr)
-    for kind in nulls.values():
-        if len(included) < kind.shared_signs:
-            need = ("one qualifying study", "two qualifying studies")[kind.shared_signs - 1]
-            raise ModelError(f"the {kind.value.replace('_', '-')} analysis needs at least {need}")
+    for label, u in nulls.items():
+        if len(included) < u:
+            raise ModelError(f"the {label} analysis needs at least u = {u} qualifying studies,"
+                             f" got {len(included)}")
     sub_binned = binned.select_studies(included)
     cond = multistudy.build_conditionals([fits[i] for i in included], sub_binned)
     model = multistudy.em_fit(
@@ -104,8 +103,8 @@ def cmd_analyze(args, out: Path) -> dict:
         snp_ids=panel.snp_ids,
     )
     reports = {}
-    for label, kind in nulls.items():
-        null_set = null_subset(kind, len(included))
+    for label, u in nulls.items():
+        null_set = null_subset(u, len(included))
         lf = multistudy.local_fdr_panel(sub_binned, model, null_set, panel.snp_ids)
         reports[label] = multistudy.fdr_report(lf, args.q, null_set)
     payload = io.model_payload(model, [panel.study_ids[i] for i in included])

@@ -1,12 +1,15 @@
-"""Association-status configurations and named null-hypothesis subsets.
+"""Association-status configurations and the partial-conjunction nulls.
 
 A configuration assigns each of n studies a status in {-1, 0, +1}:
-negatively associated, not associated, positively associated. Null
-hypotheses about a feature are subsets of the enumerated 3**n space. The
-two named nulls are one rule, "fewer than u studies share a sign", the
-partial-conjunction null of Benjamini & Heller (2008, Biometrics 64:1215):
-u = 1 is "no association" (null in every study) and u = 2 is "no
-replicability" (no sign shared by two or more studies).
+negatively associated, not associated, positively associated. A null
+hypothesis about a feature is a subset of the enumerated 3**n space. Every
+null here is named by one integer u: it holds while fewer than u studies
+share a sign, the partial-conjunction null of Benjamini & Heller (2008,
+Biometrics 64:1215). u = 1 is "no association" (null in every study),
+u = 2 is "no replicability" (no sign shared by two or more studies), and
+u >= 3 is repfdr's "association in at least u of n" (Heller, Yaacoby &
+Yekutieli 2014, Bioinformatics 30:2971). Studies can reject it when
+1 <= u <= n.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -26,28 +29,18 @@ _STATUS_TO_CHAR = {-1: "-", 0: "0", 1: "+"}
 _CHAR_TO_STATUS = {"-": -1, "0": 0, "+": 1}
 
 
-class HypothesisKind(Enum):
-    NO_ASSOCIATION = "no_association"
-    NO_REPLICABILITY = "no_replicability"
-    CUSTOM = "custom"
+class HypothesisKind(IntEnum):
+    """The two named nulls; each member is its own u."""
 
-    @property
-    def shared_signs(self) -> int:
-        """u of a named null: it holds while fewer than u studies share a sign."""
-        if self is HypothesisKind.CUSTOM:
-            raise ConfigError("the null predicate is defined only for the named nulls")
-        return NAMED_NULLS.index(self) + 1
+    NO_ASSOCIATION = 1
+    NO_REPLICABILITY = 2
 
 
-NAMED_NULLS = (HypothesisKind.NO_ASSOCIATION, HypothesisKind.NO_REPLICABILITY)  # by u - 1
-
-
-def checked_shared_signs(kind: HypothesisKind, n: int) -> int:
-    """u of a named null, checking that the n studies can reject it (u <= n)."""
-    u = kind.shared_signs
-    if u > n:
-        studies = ("one study", "two studies")[u - 1]
-        raise ConfigError(f"the {kind.value.replace('_', '-')} null needs at least {studies}")
+def checked_u(u, n: int) -> int:
+    """u as an int, checking that n studies can reject its null: 1 <= u <= n."""
+    u = operator.index(u)
+    if not 1 <= u <= n:
+        raise ConfigError(f"u must be between 1 and the number of studies ({n}), got u = {u}")
     return u
 
 
@@ -93,30 +86,31 @@ def config_from_string(text: str) -> tuple[int, ...]:
         raise ConfigError(f"invalid configuration string {text!r}") from exc
 
 
-def null_truth_mask(statuses, kind: HypothesisKind) -> np.ndarray:
-    """Which columns of an (n, M) status array the named null holds for.
+def null_truth_mask(statuses, u: int) -> np.ndarray:
+    """Which columns of an (n, M) status array the null of u holds for.
 
     A column is null when fewer than u studies share a sign:
     max(#(+1), #(-1)) < u.
     """
     statuses = np.ascontiguousarray(statuses)  # study-major: each count is one pass
     shared = np.maximum((statuses == 1).sum(axis=0), (statuses == -1).sum(axis=0))
-    return shared < kind.shared_signs
+    return shared < operator.index(u)  # a plain int: numpy compares an IntEnum slowly
 
 
-def is_null_member(h, kind: HypothesisKind) -> bool:
-    """Whether configuration h belongs to the named null subset."""
-    return bool(null_truth_mask(np.array(validate_configuration(h))[:, None], kind)[0])
+def is_null_member(h, u: int) -> bool:
+    """Whether configuration h belongs to the null subset of u."""
+    return bool(null_truth_mask(np.array(validate_configuration(h))[:, None], u)[0])
 
 
 @dataclass(frozen=True)
 class HypothesisSet:
     """A null hypothesis: a nonempty proper subset of the 3**n configurations.
 
-    members holds sorted indices into enumerate_configurations(n).
+    The null holds while fewer than u studies share a sign; members holds
+    sorted indices into enumerate_configurations(n).
     """
 
-    kind: HypothesisKind
+    u: int
     n: int
     members: tuple[int, ...]
 
@@ -133,35 +127,23 @@ class HypothesisSet:
             )
         object.__setattr__(self, "members", members)
 
-    @classmethod
-    def custom(cls, n: int, configurations) -> "HypothesisSet":
-        space = enumerate_configurations(n)
-        index = {h: i for i, h in enumerate(space)}
-        members = []
-        for h in configurations:
-            h = validate_configuration(h)
-            if len(h) != n:
-                raise ConfigError(f"configuration {h} has length {len(h)}, expected {n}")
-            members.append(index[h])
-        return cls(HypothesisKind.CUSTOM, n, tuple(members))
-
     @property
     def configurations(self) -> tuple[tuple[int, ...], ...]:
         space = enumerate_configurations(self.n)
         return tuple(space[i] for i in self.members)
 
 
-def null_subset(kind: HypothesisKind, n: int) -> HypothesisSet:
-    """Named null subset over n studies.
+def null_subset(u: int, n: int) -> HypothesisSet:
+    """The configurations over n studies where fewer than u share a sign.
 
-    The no-association null is the all-zero singleton. The no-replicability
-    null collects configurations with at most one +1 and at most one -1
-    entry; it has 1 + 2n + n(n-1) members. Each needs n >= u studies.
+    u = 1 (no association) is the all-zero singleton; u = 2 (no
+    replicability) collects configurations with at most one +1 and at most
+    one -1 entry, 1 + 2n + n(n-1) members. It needs 1 <= u <= n.
     """
     space = np.array(enumerate_configurations(n)).T
-    checked_shared_signs(kind, n)
-    members = tuple(np.flatnonzero(null_truth_mask(space, kind)).tolist())
-    return HypothesisSet(kind, n, members)
+    u = checked_u(u, n)
+    members = tuple(np.flatnonzero(null_truth_mask(space, u)).tolist())
+    return HypothesisSet(u, n, members)
 
 
 def no_replicability_size(n: int) -> int:

@@ -1,11 +1,12 @@
 """Directional meta-analysis p-values and the step-up FDR comparator.
 
-Both named nulls say that fewer than u studies share a sign, and both are
-tested by the directional partial-conjunction p-value of Benjamini &
-Heller (2008, Biometrics 64:1215): per side, Fisher-combine the n - u + 1
-largest one-sided study p-values, then double the smaller side, capped at
-1. No u - 1 studies, whatever their signs, give a small value on their
-own. Rejections use the Benjamini-Hochberg step-up rule.
+A null of u says that fewer than u studies share a sign (u = 1: no
+association, u = 2: no replicability, 1 <= u <= n). Each is tested by the
+directional partial-conjunction p-value of Benjamini & Heller (2008,
+Biometrics 64:1215): per side, Fisher-combine the n - u + 1 largest
+one-sided study p-values, then double the smaller side, capped at 1. No
+u - 1 studies, whatever their signs, give a small value on their own.
+Rejections use the Benjamini-Hochberg step-up rule.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import erfc, lgamma
 
 import numpy as np
 
-from .configspace import HypothesisKind, checked_shared_signs
+from .configspace import checked_u
 from .errors import DataError, fdr_level
 
 P_FLOOR = 1e-300
@@ -43,24 +44,24 @@ def _even_chi2_tail(k: int, y: np.ndarray) -> np.ndarray:
     return np.exp(top - y + np.log(np.exp(-top) + np.exp(log_terms, out=log_terms).sum(axis=0)))
 
 
-def partial_conjunction_pvalues(z_panel, kinds) -> list[np.ndarray]:
-    """Partial-conjunction p-values of an (n, M) panel, one vector per null kind.
+def partial_conjunction_pvalues(z_panel, us) -> list[np.ndarray]:
+    """Partial-conjunction p-values of an (n, M) panel, one vector per u in us.
 
     Each value's smaller normal tail Phi(-|z|) = erfc(|z| / sqrt 2) / 2 is
-    taken once for all kinds; a side's log tail is its log, floored at
+    taken once for all u; a side's log tail is its log, floored at
     log(1e-300), or log1p of its complement, by the sign of z. The
     study-major copy sums over studies in one order for any memory layout.
     """
     z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
     n = z.shape[0]
-    shared = [checked_shared_signs(kind, n) for kind in kinds]
+    us = [checked_u(u, n) for u in us]
     scaled = memoryview((np.abs(z) / np.sqrt(2.0)).ravel())  # yields Python floats, no copy
     small = 0.5 * np.fromiter(map(erfc, scaled), float, z.size).reshape(z.shape)
     del scaled  # frees an n x M array before the two logs
     far = np.log1p(-small)
     near = np.log(np.maximum(small, P_FLOOR, out=small), out=small)
     pvalues = []
-    for u in shared:
+    for u in us:
         sides = []
         # left then right log tails, one n x M array at a time
         for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
@@ -79,7 +80,7 @@ def no_association_pvalues(z_panel: np.ndarray) -> np.ndarray:
     z_panel has shape (n, M) with one row per study. At u = 1 the p-value is
     2 * min(left, right) of the Fisher combinations, capped at 1.
     """
-    return partial_conjunction_pvalues(z_panel, [HypothesisKind.NO_ASSOCIATION])[0]
+    return partial_conjunction_pvalues(z_panel, [1])[0]
 
 
 def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
@@ -88,7 +89,7 @@ def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
     Per side the strongest study is left out, so neither one study alone
     nor two studies of opposite sign give a small value.
     """
-    return partial_conjunction_pvalues(z_panel, [HypothesisKind.NO_REPLICABILITY])[0]
+    return partial_conjunction_pvalues(z_panel, [2])[0]
 
 
 def bh_procedure(p, q: float) -> np.ndarray:

@@ -23,12 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .configspace import (
-    HypothesisKind,
-    enumerate_configurations,
-    null_truth_mask,
-    validate_configuration,
-)
+from .configspace import enumerate_configurations, null_truth_mask, validate_configuration
 from .errors import ConfigError, DataError
 from .twogroup import ZPanel
 
@@ -439,8 +434,8 @@ class SimMetrics:
         return asdict(self)
 
 
-def evaluate(rejections, truth, kind: HypothesisKind) -> SimMetrics:
-    """Score a rejection set against the known truth.
+def evaluate(rejections, truth, u: int) -> SimMetrics:
+    """Score a rejection set against the known truth for the null of u.
 
     Accepts a DiscoveryReport or a boolean mask, and a TruthPanel or its
     (n, M) status array. The false discovery proportion divides by
@@ -450,7 +445,7 @@ def evaluate(rejections, truth, kind: HypothesisKind) -> SimMetrics:
     statuses = np.asarray(getattr(truth, "statuses", truth))
     if statuses.ndim != 2 or rejected.shape != statuses.shape[1:]:
         raise DataError("rejection vector does not match the truth panel")
-    null_true = null_truth_mask(statuses, kind)
+    null_true = null_truth_mask(statuses, u)
     n_rejected = int(rejected.sum())
     false_disc = int((rejected & null_true).sum())
     true_disc = n_rejected - false_disc

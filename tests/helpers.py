@@ -13,8 +13,9 @@ from scipy.stats import chi2, norm
 import crossrep as cr
 import crossrep.io as cio
 
-NR = cr.HypothesisKind.NO_REPLICABILITY
-NA = cr.HypothesisKind.NO_ASSOCIATION
+# u of each named null: it holds while fewer than u studies share a sign
+NR = 2
+NA = 1
 
 
 def run_empirical_bayes(panel, q=0.05, bins=50, exclusion=None):
@@ -37,8 +38,8 @@ def run_empirical_bayes(panel, q=0.05, bins=50, exclusion=None):
     todo = [("na", NA)]
     if len(included) >= 2:
         todo.insert(0, ("nr", NR))
-    for label, kind in todo:
-        null_set = cr.null_subset(kind, len(included))
+    for label, u in todo:
+        null_set = cr.null_subset(u, len(included))
         lf = cr.local_fdr_panel(sub_binned, model, null_set, panel.snp_ids)
         reports[label] = cr.fdr_report(lf, q, null_set)
     return reports, included, model
@@ -61,12 +62,12 @@ def run_table3_rep(n_snps, seed, q=0.05, bins=50):
 
     binned = cr.bin_panel(panel, bins)
     true_pi = design.config_prob_vector()
-    for label, kind in (("nr", NR), ("na", NA)):
-        null_set = cr.null_subset(kind, design.n_studies)
+    for label, u in (("nr", NR), ("na", NA)):
+        null_set = cr.null_subset(u, design.n_studies)
         report = cr.oracle_report(
             binned, truth.statuses, true_pi, null_set, q, panel.snp_ids
         )
-        out[f"oracle_{label}"] = cr.evaluate(report, truth, kind)
+        out[f"oracle_{label}"] = cr.evaluate(report, truth, u)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -325,7 +326,8 @@ def gather_likelihood_matrix(cond, status_idx, combos):
     return like
 
 
-def dense_em(binned, cond, max_iter, tol=cr.multistudy.EM_DEFAULT_TOL):
+def dense_em(binned, cond, tol=cr.multistudy.EM_DEFAULT_TOL,
+             max_iter=cr.multistudy.EM_DEFAULT_MAX_ITER):
     """Reference EM on the dense (K, U) gather matrix: the weights and log-likelihood trace.
 
     Plain mixture-weight EM from uniform weights with em_fit's stopping rule.

@@ -95,7 +95,7 @@ class TestFit:
             assert not flat["qualifies"]
             assert "null fraction" in flat["exclusion_reason"]
             assert flat["fA_hat"] is None
-        assert "two qualifying studies" in capsys.readouterr().err
+        assert "nr analysis needs at least u = 2 qualifying studies, got 1" in capsys.readouterr().err
         assert sorted(p.name for p in (tmp_path / "both").iterdir()) == ["fits.json"]
 
 
@@ -142,7 +142,7 @@ class TestAnalyze:
              "--hypothesis", "nr"]
         )
         assert code == 4
-        assert "two qualifying studies" in capsys.readouterr().err
+        assert "nr analysis needs at least u = 2 qualifying studies, got 1" in capsys.readouterr().err
 
     def test_unconverged_em_warns_and_succeeds(self, sim_dir, tmp_path, capsys):
         code = run(
@@ -203,7 +203,7 @@ class TestCompare:
             ["compare", "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path]
         )
         assert code == 2
-        assert "two studies" in capsys.readouterr().err
+        assert "number of studies (1), got u = 2" in capsys.readouterr().err
 
 
 class TestEvaluate:

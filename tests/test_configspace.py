@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from crossrep import (
     ConfigError,
-    HypothesisKind,
     HypothesisSet,
     SizeLimitError,
     config_from_string,
@@ -16,9 +17,8 @@ from crossrep import (
     null_subset,
     null_truth_mask,
 )
-
-NA = HypothesisKind.NO_ASSOCIATION
-NR = HypothesisKind.NO_REPLICABILITY
+from crossrep.configspace import HypothesisKind
+from helpers import NA, NR
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -86,26 +86,37 @@ def test_four_studies_paper_counts():
 def test_membership_predicate_matches_subsets():
     for n in (2, 3):
         space = enumerate_configurations(n)
-        for kind in (NA, NR):
-            subset = set(null_subset(kind, n).configurations)
-            assert subset == {h for h in space if is_null_member(h, kind)}
+        for u in range(1, n + 1):
+            subset = set(null_subset(u, n).configurations)
+            assert subset == {h for h in space if is_null_member(h, u)}
 
 
-def test_custom_subset_roundtrip():
-    subset = HypothesisSet.custom(2, [(0, 0), (1, 0), (-1, 0)])
-    assert subset.kind is HypothesisKind.CUSTOM
-    assert subset.configurations == ((-1, 0), (0, 0), (1, 0))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_null_sizes_match_the_closed_form(n):
+    # fewer than u studies share a sign: a < u studies at +1 and b < u at -1
+    for u in range(1, n + 1):
+        size = sum(
+            factorial(n) // (factorial(a) * factorial(b) * factorial(n - a - b))
+            for a in range(u) for b in range(u) if a + b <= n
+        )
+        assert len(null_subset(u, n).members) == size
 
 
-def test_custom_subset_validation():
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_u_outside_one_to_n_is_refused(n):
+    for u in (0, n + 1):
+        with pytest.raises(ConfigError, match=rf"number of studies \({n}\), got u = {u}$"):
+            null_subset(u, n)
+
+
+def test_hypothesis_set_validation():
+    assert HypothesisSet(1, 2, (4, 4)).members == (4,)
     with pytest.raises(ConfigError):
-        HypothesisSet.custom(2, [])
+        HypothesisSet(1, 2, ())
     with pytest.raises(ConfigError):
-        HypothesisSet.custom(2, enumerate_configurations(2))
+        HypothesisSet(2, 2, range(9))
     with pytest.raises(ConfigError):
-        HypothesisSet.custom(2, [(0, 0, 0)])
-    with pytest.raises(ConfigError):
-        HypothesisSet.custom(2, [(0, 2)])
+        HypothesisSet(2, 2, (9,))
 
 
 def test_configuration_string_roundtrip():
@@ -123,27 +134,26 @@ def test_configuration_string_validation():
 
 def test_hypothesis_set_serialization_order():
     subset = null_subset(NR, 2)
-    assert subset.kind.value == "no_replicability"
+    assert subset.u == 2 and type(subset.u) is int
+    assert null_subset(HypothesisKind.NO_REPLICABILITY, 2) == subset  # each member is its own u
     members = [config_to_string(h) for h in subset.configurations]
     assert members == ["-0", "-+", "0-", "00", "0+", "+-", "+0"]
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 8), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_null_truth_mask_matches_the_definitions(n, m, seed):
-    statuses = np.random.default_rng(seed).integers(-1, 2, size=(n, m))
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_null_truth_mask_matches_the_definitions(data, n, m, seed):
+    rng = np.random.default_rng(seed)
+    statuses = rng.integers(-1, 2, size=(n, m))
     columns = [tuple(col.tolist()) for col in statuses.T]
     na = [all(s == 0 for s in h) for h in columns]
     nr = [h.count(1) <= 1 and h.count(-1) <= 1 for h in columns]
     assert null_truth_mask(statuses, NA).tolist() == na
     assert null_truth_mask(statuses, NR).tolist() == nr
     assert [is_null_member(h, NR) for h in columns] == nr
-
-
-def test_null_predicate_refuses_custom_kind():
-    with pytest.raises(ConfigError):
-        null_truth_mask([[0]], HypothesisKind.CUSTOM)
-    with pytest.raises(ConfigError):
-        is_null_member((0,), HypothesisKind.CUSTOM)
-    with pytest.raises(ConfigError):
-        null_subset(HypothesisKind.CUSTOM, 2)
+    u = data.draw(st.integers(1, n + 1), label="u")
+    want = [max(h.count(1), h.count(-1)) < u for h in columns]
+    assert null_truth_mask(statuses, u).tolist() == want
+    assert null_truth_mask(-statuses, u).tolist() == want
+    assert null_truth_mask(rng.permutation(statuses, axis=0), u).tolist() == want
+    assert [is_null_member(h, u) for h in columns] == want

@@ -8,7 +8,6 @@ from scipy.stats import chi2, norm
 from crossrep import (
     ConfigError,
     DataError,
-    HypothesisKind,
     bh_adjust,
     bh_procedure,
     no_association_pvalues,
@@ -102,7 +101,7 @@ class TestNoReplicability:
                 assert_allclose(pvalues(rng.permutation(z, axis=0)), p, rtol=1e-12)
 
     def test_needs_two_studies(self):
-        with pytest.raises(ConfigError, match="two studies"):
+        with pytest.raises(ConfigError, match=r"number of studies \(1\), got u = 2"):
             no_replicability_pvalues(np.array([[1.5, -0.3]]))
 
     def test_opposite_signals_are_not_replicated(self):
@@ -166,6 +165,9 @@ class TestNoAssociation:
                     continue
                 expected = [partial_conjunction_pvalue(z[:, j], u) for j in range(40)]
                 assert_allclose(pvalues(z), expected, rtol=1e-10)
+            for u in range(3, n + 1):
+                expected = [partial_conjunction_pvalue(z[:, j], u) for j in range(40)]
+                assert_allclose(partial_conjunction_pvalues(z, [u])[0], expected, rtol=1e-10)
 
 
 class TestBothNulls:
@@ -173,15 +175,32 @@ class TestBothNulls:
         rng = np.random.default_rng(21)
         z = rng.normal(size=(5, 3000)) + rng.choice([-4.0, 0.0, 4.0], size=(5, 3000))
         z[:, :4] = [[40.0], [-40.0], [np.inf], [0.0], [-0.0]]
-        nr, na = partial_conjunction_pvalues(z, [HypothesisKind.NO_REPLICABILITY,
-                                                 HypothesisKind.NO_ASSOCIATION])
+        nr, na = partial_conjunction_pvalues(z, [2, 1])
         assert nr.tobytes() == no_replicability_pvalues(z).tobytes()
         assert na.tobytes() == no_association_pvalues(z).tobytes()
 
     def test_a_null_beyond_the_study_count_fails(self):
-        kinds = [HypothesisKind.NO_ASSOCIATION, HypothesisKind.NO_REPLICABILITY]
-        with pytest.raises(ConfigError, match="two studies"):
-            partial_conjunction_pvalues(np.array([[1.5, -0.3]]), kinds)
+        with pytest.raises(ConfigError, match=r"number of studies \(1\), got u = 2"):
+            partial_conjunction_pvalues(np.array([[1.5, -0.3]]), [1, 2])
+        for u in (0, 4):
+            with pytest.raises(ConfigError, match=rf"number of studies \(3\), got u = {u}$"):
+                partial_conjunction_pvalues(np.zeros((3, 2)), [u])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_u_minus_one_strong_studies_give_no_small_value_at_u_3(self, n):
+        # two studies far out on one side, the rest null: fewer than u = 3 share a sign
+        for sign in (1.0, -1.0):
+            z = np.zeros((n, 1))
+            z[:2] = sign * 40.0
+            assert partial_conjunction_pvalues(z, [3])[0][0] == 1.0
+        rng = np.random.default_rng(300 + n)
+        reps = 4000
+        z = rng.normal(size=(n, reps))
+        z[:2] += 40.0 * rng.choice([-1.0, 1.0], size=reps)
+        (p,) = partial_conjunction_pvalues(z, [3])
+        for t in (0.01, 0.05, 0.1):
+            slack = 3.0 * np.sqrt(t * (1 - t) / reps) + 1.0 / reps
+            assert np.mean(p <= t) <= t + slack
 
 
 class TestManyStudies:

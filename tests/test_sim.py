@@ -20,10 +20,7 @@ from crossrep import (
     z_from_tables_contingency,
 )
 from crossrep.sim import case_control_dose_probs, disease_prob_per_dose
-from helpers import three_sum_pearson_statistic, z_from_table
-
-NA = cr.HypothesisKind.NO_ASSOCIATION
-NR = cr.HypothesisKind.NO_REPLICABILITY
+from helpers import NA, NR, three_sum_pearson_statistic, z_from_table
 
 
 class TestDesign:
@@ -325,8 +322,8 @@ class TestEvaluate:
         rng = np.random.default_rng(21)
         truth = self.make_truth(rng.choice([-1, 0, 1], size=(3, 80)))
         rejected = rng.random(80) < 0.4
-        for kind in (NA, NR):
-            assert evaluate(rejected, truth.statuses, kind) == evaluate(rejected, truth, kind)
+        for u in (NA, NR):
+            assert evaluate(rejected, truth.statuses, u) == evaluate(rejected, truth, u)
 
     @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
     def test_status_array_of_another_shape_is_rejected(self, shape):

@@ -34,7 +34,6 @@ from scipy.stats import chi2, norm
 import crossrep
 from crossrep import cli, sim, twogroup
 from crossrep.cli import main
-from crossrep.configspace import HypothesisKind
 from crossrep.twogroup import normal_pdf
 from helpers import concordant_meta_pvalues, fisher_combine, mpmath_partial_conjunction_pvalue
 
@@ -147,9 +146,9 @@ def test_evaluate_scorer_is_sim_evaluate(data, n, label):
     got = cli._scores({label: mask, "other": mask}, statuses)
     assert list(got) == [label]
     got = got[label]
-    kind = {"na": HypothesisKind.NO_ASSOCIATION, "nr": HypothesisKind.NO_REPLICABILITY}[label]
     want = sim.evaluate(np.array(mask, dtype=bool),
-                        np.array(statuses, dtype=np.int8).reshape(n, m), kind).to_json()
+                        np.array(statuses, dtype=np.int8).reshape(n, m),
+                        cli._HYP_LABELS[label]).to_json()
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert [type(v) for v in got.values()] == [type(want[k]) for k in got]
 
