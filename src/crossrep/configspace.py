@@ -14,6 +14,7 @@ Yekutieli 2014, Bioinformatics 30:2971). Studies can reject it when
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -68,10 +69,15 @@ def enumerate_configurations(n: int) -> list[tuple[int, ...]]:
     """All 3**n status vectors in lexicographic order with -1 < 0 < +1.
 
     The order is deterministic and stable across runs; every probability
-    vector in this package is aligned to it.
+    vector in this package is aligned to it. The vectors are built once per
+    n and shared by every list returned.
     """
-    n = _checked_study_count(n)
-    return list(itertools.product((-1, 0, 1), repeat=n))
+    return list(_configurations(_checked_study_count(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _configurations(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product((-1, 0, 1), repeat=n))
 
 
 def config_to_string(h) -> str:

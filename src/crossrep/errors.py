@@ -48,12 +48,7 @@ class ModelError(CrossrepError):
 
 
 class FitError(ModelError):
-    """Iterative density fit did not converge; carries diagnostics."""
-
-    def __init__(self, message, iterations=None, deviance_trace=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.deviance_trace = deviance_trace
+    """Iterative density fit did not converge."""
 
 
 class StudyExcludedError(ModelError):

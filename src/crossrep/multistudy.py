@@ -7,6 +7,10 @@ likelihood, the product over features of their marginal mixture
 likelihoods. Posterior configuration probabilities then give a local
 Bayes FDR for any null subset, and a running-mean estimate converts local
 values into the level-q rejection rule.
+
+The signed densities are truncated to their half-lines, so a feature's
+likelihood is zero on all but 2**n of the 3**n configurations; EM and
+local FDR work on that sign-sparse form (SignSparse) alone.
 """
 
 from __future__ import annotations
@@ -22,17 +26,16 @@ from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError, DataError
                      DegenerateAlternativeError, ModelError, fdr_level)
 from .twogroup import BinnedPanel, TwoGroupFit, normal_pdf
 
-_STATUSES = (-1, 0, 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ConditionalBinDensities:
     """Per-study bin probability vectors conditional on status -1, 0, +1.
 
     probs[i, s + 1] is the probability vector over bins for study i and
-    status s; each row sums to 1. Model-based conditionals are truncated:
-    the +1 vector vanishes on bins with center <= 0 and the -1 vector on
-    bins with center >= 0 (empirical oracle conditionals need not be).
+    status s; each row sums to 1. build_conditionals truncates them: the
+    +1 vector vanishes on bins with center <= 0 and the -1 vector on bins
+    with center >= 0. em_fit and local_fdr_panel refuse conditionals where
+    both signed vectors are positive at one bin.
     """
 
     centers: np.ndarray  # (n, B)
@@ -136,10 +139,26 @@ def _status_index_matrix(space) -> np.ndarray:
 
 
 # A panel's bin_index (n, M), its distinct bin combos (U, n) in lexicographic
-# order, each feature's combo (M,), combo counts (U,) and the (K, U) like as
-# its Khatri-Rao halves (left, right) over studies 0..n//2-1 and the rest:
-# like[a * len(right) + b] = left[a] * right[b], a product never formed.
+# order, each feature's combo (M,), combo counts (U,) and their SignSparse like.
 CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index combos inverse counts like")
+
+# The (K, U) likelihood in sign-sparse form. Each study's sign at a bin is -1
+# where its -1 conditional is positive, else +1; a combo's likelihood vanishes
+# off the 2**n configurations with every h_i in {0, sign_i}. Combos sorted by
+# sign pattern fill blocks of one pattern each, zero-padded: WIDE columns for
+# patterns of at least WIDE combos, NARROW for the rest. left (2**(n//2), C)
+# and right (2**(n - n//2), C) are the Khatri-Rao halves over studies
+# 0..n//2-1 and the rest, a row per null/signed choice. batches are runs of
+# equal-width blocks (columns, left and right as (blocks, rows, width) views,
+# patterns); in a block of pattern p, column c has likelihood left[a, c] *
+# right[b, c] under configuration table[p, a, b]. slots (U,) is each combo's
+# column, combo (C,) each column's combo, and k = 3**n.
+SignSparse = namedtuple("SignSparse", "left right table batches slots combo k")
+
+# Block widths. A pattern pads fewer than NARROW columns, or fewer than its own
+# count once it fills a WIDE block; one pattern can hold a quarter of all combos.
+WIDE, NARROW = 64, 8
+CHUNK = 2**16  # elements in the temporaries of one batch
 
 
 def _collapse_bins(bin_index: np.ndarray):
@@ -153,51 +172,114 @@ def _collapse_bins(bin_index: np.ndarray):
         if (int(key.max()) + 1) * radix > np.iinfo(np.int64).max:
             key = np.unique(key, return_inverse=True)[1]
         key = key * radix + row
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    return bin_index.T[first], inverse.ravel(), counts.astype(float)
-
-
-def _khatri_rao(cond: ConditionalBinDensities, combos: np.ndarray, studies) -> np.ndarray:
-    """(3**len(studies), U) row-wise Khatri-Rao product of the studies' (3, U) factors.
-
-    Rows follow enumerate_configurations over those studies. Factors are made
-    C-contiguous: BLAS rounds products of strided operands differently.
-    """
-    like = np.ones((1, combos.shape[0]))
-    for i in studies:
-        factor = np.ascontiguousarray(cond.probs[i][:, combos[:, i]])
-        like = (like[:, None, :] * factor[None, :, :]).reshape(-1, combos.shape[0])
-    return like
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()
+    member = np.empty(counts.size, dtype=np.intp)  # any feature of each combo: keys are exact
+    member[inverse] = np.arange(inverse.size)
+    return bin_index.T[member], inverse, counts.astype(float)
 
 
 def _likelihood_matrix(
     cond: ConditionalBinDensities, status_idx: np.ndarray, combos: np.ndarray
 ) -> np.ndarray:
-    """(K, U) matrix of combo probabilities under each configuration."""
+    """(K, U) combo probabilities under each configuration, C-contiguous.
+
+    The row-wise Khatri-Rao product of the studies' (3, U) factors.
+    """
     n = cond.n_studies
     if not np.array_equal(status_idx, _status_index_matrix(enumerate_configurations(n))):
         raise ModelError("status rows must follow the lexicographic configuration order")
-    return _khatri_rao(cond, combos, range(n))
+    like = np.ones((1, combos.shape[0]))
+    for i in range(n):
+        factor = np.ascontiguousarray(cond.probs[i][:, combos[:, i]])
+        like = (like[:, None] * factor).reshape(-1, combos.shape[0])
+    return like
 
 
-def _mixture(like, pi: np.ndarray) -> np.ndarray:
-    """pi @ like, the (U,) mixture likelihood, through the two halves."""
-    left, right = like
-    return (left * (pi.reshape(left.shape[0], -1) @ right)).sum(axis=0)
+def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSparse:
+    """The SignSparse likelihood of the distinct combos under truncated conditionals."""
+    n, u, half = cond.n_studies, combos.shape[0], cond.n_studies // 2
+    neg = cond.probs[:, 0] > 0
+    both = np.argwhere(neg & (cond.probs[:, 2] > 0))
+    if both.size:
+        i, b = both[0]
+        raise DataError(f"conditionals of study {i} are not truncated: both signed densities "
+                        f"are positive at bin {b} (center {cond.centers[i, b]:g})")
+    pattern = np.zeros(u, dtype=np.uint16)  # bit i set where study i's sign is -1
+    for i in range(n):
+        pattern |= neg[i, combos[:, i]].astype(np.uint16) << i
+    order = np.argsort(pattern, kind="stable")  # a radix sort for a small unsigned key
+    sizes = np.bincount(pattern, minlength=2**n)
+    narrow = sizes < WIDE
+    width = np.where(narrow, NARROW, WIDE)
+    blocks = -(-sizes // width)
+    ranked = np.argsort(narrow, kind="stable")  # patterns with WIDE blocks first
+    span = (blocks * width)[ranked]
+    start = np.empty_like(span)
+    start[ranked] = np.cumsum(span) - span
+    slots = np.empty(u, dtype=np.intp)
+    slots[order] = (start - np.cumsum(sizes) + sizes)[pattern[order]] + np.arange(u)
+    combo = np.zeros(span.sum(), dtype=np.intp)
+    combo[slots] = np.arange(u)
+
+    bins = np.full((n, combo.size), cond.bin_count, dtype=combos.dtype)  # padding: an empty bin
+    bins[:, slots] = combos.T
+    null, signed = np.zeros((2, n, cond.bin_count + 1))
+    null[:, :-1], signed[:, :-1] = cond.probs[:, 1], cond.probs[:, 0] + cond.probs[:, 2]
+
+    def factors(studies):  # Khatri-Rao rows over the studies; bit j set: studies[j] signed
+        out = np.empty((2 ** len(studies), combo.size))
+        out[0] = 1.0
+        for j, i in enumerate(studies):
+            np.multiply(out[: 1 << j], signed[i, bins[i]], out=out[1 << j : 2 << j])
+            out[: 1 << j] *= null[i, bins[i]]
+        return out
+
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # of patterns and of choices
+    table = np.zeros((2**n, 2**n), dtype=np.int64)  # configuration of (pattern, choice)
+    for i in range(n):
+        table = 3 * table + 1 + np.outer(1 - 2 * bits[:, i], bits[:, i])
+    table = table.reshape(2**n, -1, 2**half).transpose(0, 2, 1).astype(np.min_scalar_type(3**n))
+
+    left, right = factors(range(half)), factors(range(half, n))
+    block = np.repeat(ranked, blocks[ranked])
+    wide, batches = int(blocks[~narrow].sum()), []
+    for first, last, width in ((0, wide, WIDE), (wide, block.size, NARROW)):
+        runs = -(-(last - first) * left.shape[0] * (right.shape[0] + width) // CHUNK)
+        step = max(1, -(-(last - first) // max(runs, 1)))  # equal runs, no short remainder
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            begin = WIDE * min(lo, wide) + NARROW * max(lo - wide, 0)
+            cols = slice(begin, begin + (hi - lo) * width)
+            views = [a[:, cols].reshape(-1, hi - lo, width).transpose(1, 0, 2)
+                     for a in (left, right)]
+            batches.append((cols, *views, block[lo:hi]))
+    return SignSparse(left, right, table, batches, slots, combo, 3**n)
 
 
-def _direction(like, w: np.ndarray) -> np.ndarray:
-    """like @ w, a (K,) vector, through the two halves."""
-    left, right = like
-    return (right @ (left * w).T).T.ravel()
+def _mixture(like: SignSparse, pi: np.ndarray) -> np.ndarray:
+    """pi @ like, the (U,) mixture likelihood, by batched products over blocks."""
+    mix = np.empty(like.left.shape[1])
+    for cols, left, right, patterns in like.batches:
+        part = pi.take(like.table.take(patterns, axis=0)) @ right
+        np.einsum("gac,gac->gc", part, left, out=mix[cols].reshape(left.shape[0], -1))
+    return mix.take(like.slots)
+
+
+def _direction(like: SignSparse, w: np.ndarray) -> np.ndarray:
+    """like @ w, a (K,) vector: batched products over blocks, summed by configuration."""
+    weights = w.take(like.combo)  # padding columns are 0 in left or right
+    out = np.zeros(like.k)
+    for cols, left, right, patterns in like.batches:
+        part = (left * weights[cols].reshape(left.shape[0], 1, -1)) @ right.transpose(0, 2, 1)
+        index = like.table.take(patterns, axis=0).ravel()
+        out += np.bincount(index, part.ravel(), minlength=like.k)
+    return out
 
 
 def _collapsed_likelihood(bin_index, cond) -> CollapsedLikelihood:
-    n = cond.n_studies
     combos, inverse, counts = _collapse_bins(bin_index)
-    like = _khatri_rao(cond, combos, range(n // 2)), _khatri_rao(cond, combos, range(n // 2, n))
+    like = _sign_sparse(cond, combos)
     return CollapsedLikelihood(bin_index.copy(), combos, inverse, counts, like)
 
 
@@ -209,14 +291,9 @@ def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:
         raise ModelError(f"zero mixture likelihood for snp {snp}")
 
 
-def em_fit(
-    binned: BinnedPanel,
-    cond: ConditionalBinDensities,
-    init: np.ndarray | None = None,
-    tol: float = EM_DEFAULT_TOL,
-    max_iter: int = EM_DEFAULT_MAX_ITER,
-    snp_ids=None,
-) -> ConfigModel:
+def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, init: np.ndarray | None = None,
+           tol: float = EM_DEFAULT_TOL, max_iter: int = EM_DEFAULT_MAX_ITER,
+           snp_ids=None) -> ConfigModel:
     """Maximize the composite likelihood over configuration probabilities.
 
     Standard mixture-weight EM with the conditional densities held fixed:
@@ -226,16 +303,9 @@ def em_fit(
     relative change drops below tol, and warns when max_iter ends it first.
     The returned model's em_gap bounds how far its log-likelihood L lies
     below the maximum: L(pi*) - L(pi) <= m log max_k g_k, with g the EM
-    direction at pi (Lindsay 1983, Ann. Statist. 11:86).
-
-    Parameters
-    ----------
-    binned : BinnedPanel
-        Panel restricted to the studies covered by cond.
-    cond : ConditionalBinDensities
-        Fixed per-study, per-status bin densities.
-    init : array of length 3**n, optional
-        Starting weights on the simplex; uniform when omitted.
+    direction at pi (Lindsay 1983, Ann. Statist. 11:86). binned holds the
+    studies of cond, whose densities stay fixed; init, a length-3**n start on
+    the simplex, defaults to uniform weights.
     """
     n = cond.n_studies
     if binned.n_studies != n:
@@ -288,15 +358,8 @@ def em_fit(
             stacklevel=2,
         )
 
-    model = ConfigModel(
-        space=tuple(space),
-        pi=pi,
-        conditionals=cond,
-        em_trace=em_trace,
-        converged=converged,
-        n_iter=len(trace),
-        em_gap=gap,
-    )
+    model = ConfigModel(space=tuple(space), pi=pi, conditionals=cond, em_trace=em_trace,
+                        converged=converged, n_iter=len(trace), em_gap=gap)
     object.__setattr__(model, "likelihood", collapsed)
     return model
 
@@ -314,12 +377,8 @@ def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     return weights / total
 
 
-def local_fdr_panel(
-    binned: BinnedPanel,
-    model: ConfigModel,
-    null_set: HypothesisSet,
-    snp_ids=None,
-) -> np.ndarray:
+def local_fdr_panel(binned: BinnedPanel, model: ConfigModel, null_set: HypothesisSet,
+                    snp_ids=None) -> np.ndarray:
     """Vector of local FDR values for every feature in the panel."""
     if null_set.n != model.n_studies or binned.n_studies != model.n_studies:
         raise DataError("panel, model and hypothesis set disagree on study count")
@@ -397,59 +456,3 @@ def fdr_report(
         t_hat=t_hat,
         rejected=rejected,
     )
-
-
-def _empirical_conditionals(
-    binned: BinnedPanel, truth: np.ndarray
-) -> ConditionalBinDensities:
-    """Relative bin frequencies per (study, status), with normal fallbacks.
-
-    A status with no features in a study falls back to the standard normal
-    at the centers, truncated to the matching half-line for signed states.
-    """
-    n, b = binned.centers.shape
-    probs = np.zeros((n, 3, b))
-    for i in range(n):
-        centers = binned.centers[i]
-        for s in _STATUSES:
-            sel = truth[i] == s
-            if np.any(sel):
-                freq = np.bincount(binned.bin_index[i, sel], minlength=b).astype(float)
-                probs[i, s + 1] = freq / freq.sum()
-            else:
-                w = normal_pdf(centers)
-                if s:
-                    w = _half_line(w, centers, s)
-                if w.sum() <= 0:
-                    raise ModelError("cannot build a fallback conditional density")
-                probs[i, s + 1] = w / w.sum()
-    return ConditionalBinDensities(binned.centers.copy(), probs)
-
-
-def oracle_report(
-    binned: BinnedPanel,
-    truth: np.ndarray,
-    true_pi: np.ndarray,
-    null_set: HypothesisSet,
-    q: float,
-    snp_ids=None,
-) -> DiscoveryReport:
-    """Reference analysis that knows the true statuses and weights.
-
-    Conditional bin probabilities are the empirical relative frequencies
-    given the true status, and the true configuration weights replace the
-    EM estimate; the rest of the pipeline is unchanged.
-    """
-    truth = np.asarray(truth)
-    if truth.shape != binned.bin_index.shape:
-        raise DataError("truth matrix must match the binned panel shape")
-    if not np.all(np.isin(truth, (-1, 0, 1))):
-        raise DataError("truth entries must be -1, 0 or +1")
-    cond = _empirical_conditionals(binned, truth)
-    model = ConfigModel(
-        space=tuple(enumerate_configurations(binned.n_studies)),
-        pi=np.asarray(true_pi, dtype=float),
-        conditionals=cond,
-    )
-    lf = local_fdr_panel(binned, model, null_set, snp_ids=snp_ids)
-    return fdr_report(lf, q, hypothesis=null_set)

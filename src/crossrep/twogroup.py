@@ -223,7 +223,6 @@ def estimate_marginal_density(
     mu = y + 0.5
     eta = np.log(mu)
     deviance = _poisson_deviance(y, mu)
-    trace = [deviance]
     for _ in range(max_iter):
         sw = np.sqrt(mu)
         work = eta + (y - mu) / mu
@@ -231,16 +230,11 @@ def estimate_marginal_density(
         eta = np.clip(design @ beta, -300.0, 300.0)
         mu = np.exp(eta)
         new_deviance = _poisson_deviance(y, mu)
-        trace.append(new_deviance)
         if abs(new_deviance - deviance) < tol * (abs(deviance) + 0.1):
             break
         deviance = new_deviance
     else:
-        raise FitError(
-            f"Poisson density fit did not converge in {max_iter} iterations",
-            iterations=max_iter,
-            deviance_trace=trace,
-        )
+        raise FitError(f"Poisson density fit did not converge in {max_iter} iterations")
     return mu / (mu.sum() * width)
 
 

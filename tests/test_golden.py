@@ -24,7 +24,7 @@ GOLDEN_N3 = {
     "eb/fits.json":
         "88e776e823ae35e9fcce3755f5a453085318fa497b48abb91935fdcfa178db34",
     "eb/report_eb.tsv":
-        "0fce22f19f16db5f8f9408e54ac8ce11d2bcb063de306b4dc886db619e50a052",
+        "7cb6331836fb8b5453950f6a5d6ccf02bbd4ad86650f5f0f288eebbc543bbf3c",
     "eb/metrics.json":
         "c15eef4bee0a8f48a7416b876b3308be78865cedebd85747f28224f4a5297423",
     "meta/report_meta.tsv":

@@ -22,56 +22,22 @@ from crossrep import (
     em_fit,
     fdr_report,
     local_fdr_panel,
-    oracle_report,
     posterior,
 )
-from crossrep.multistudy import _empirical_conditionals
-from crossrep.twogroup import BinnedPanel
 from helpers import (
     NA,
     NR,
+    analytic_conditionals,
     config_likelihood,
     dense_em,
     dense_local_fdr,
     gather_likelihood_matrix,
+    grid,
     local_fdr_set,
+    make_binned,
     run_empirical_bayes,
     unique_rows_collapse,
 )
-
-
-def grid(lo, hi, b):
-    edges = np.linspace(lo, hi, b + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return edges, centers, (hi - lo) / b
-
-
-def make_binned(bin_index, lo=-6.0, hi=6.0, b=None):
-    bin_index = np.asarray(bin_index, dtype=np.int32)
-    n = bin_index.shape[0]
-    if b is None:
-        b = max(int(bin_index.max()) + 1 if bin_index.size else 1, 10)
-    edges, centers, width = grid(lo, hi, b)
-    return BinnedPanel(
-        b,
-        np.tile(edges, (n, 1)),
-        np.tile(centers, (n, 1)),
-        np.full(n, width),
-        bin_index,
-    )
-
-
-def analytic_conditionals(n, b=40, lo=-6.0, hi=6.0, mode=2.5, sd=1.0):
-    """Truncated symmetric-mixture conditionals on a shared grid."""
-    _, centers, _ = grid(lo, hi, b)
-    phi = norm.pdf(centers)
-    alt = 0.5 * norm.pdf(centers, -mode, sd) + 0.5 * norm.pdf(centers, mode, sd)
-    pos = np.where(centers > 0, alt, 0.0)
-    neg = np.where(centers < 0, alt, 0.0)
-    probs = np.stack([neg / neg.sum(), phi / phi.sum(), pos / pos.sum()])
-    return ConditionalBinDensities(
-        np.tile(centers, (n, 1)), np.tile(probs, (n, 1, 1))
-    )
 
 
 def sample_panel_bins(rng, cond, pi, m):
@@ -464,22 +430,24 @@ class TestCollapsedLikelihood:
 
     def test_fit_and_both_reports_build_the_likelihood_once(self, monkeypatch):
         calls = []
-        build = ms._khatri_rao
-        monkeypatch.setattr(ms, "_khatri_rao", lambda *args: calls.append(1) or build(*args))
+        build = ms._sign_sparse
+        monkeypatch.setattr(ms, "_sign_sparse", lambda *args: calls.append(1) or build(*args))
         rng, binned, model = random_fit(7, 3)
         for ns in null_sets(3):
             local_fdr_panel(binned, model, ns)
-        assert len(calls) == 2  # the two half factors
+        assert len(calls) == 1
         other = make_binned(rng.permutation(binned.bin_index, axis=1), b=8)
         local_fdr_panel(other, model, null_sets(3)[0])
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_fit_and_reports_never_allocate_the_full_likelihood(self):
         rng = np.random.default_rng(8)
         n, m = 8, 10_000
         cond = random_conditionals(rng, n, 8)
         binned = make_binned(rng.integers(0, 8, size=(n, m)), b=8)
-        full_bytes = 3**n * len(ms._collapse_bins(binned.bin_index)[2]) * 8
+        u = len(ms._collapse_bins(binned.bin_index)[2])
+        assert 3**n * u * 8 > 500 * 2**20  # the full likelihood
+        dense_right = 3 ** ((n + 1) // 2) * u * 8  # the right factor of the 3**n halves
         tracemalloc.start()
         try:
             with pytest.warns(UserWarning, match="did not converge"):
@@ -489,8 +457,32 @@ class TestCollapsedLikelihood:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert full_bytes > 500 * 2**20
-        assert peak < full_bytes / 10
+        assert peak < dense_right
+
+    def test_untruncated_conditionals_are_refused(self):
+        cond = analytic_conditionals(2, b=10)
+        probs = cond.probs.copy()
+        probs[1, 2] = probs[1, 0] = np.full(10, 0.1)
+        cond = ConditionalBinDensities(cond.centers, probs)
+        binned = make_binned(np.zeros((2, 20), dtype=np.int32), b=10)
+        message = r"study 1 are not truncated: .* at bin 0 \(center -5\.4\)"
+        with pytest.raises(DataError, match=message):
+            em_fit(binned, cond)
+        model = ConfigModel(tuple(cr.enumerate_configurations(2)), np.full(9, 1 / 9), cond)
+        with pytest.raises(DataError, match=message):
+            local_fdr_panel(binned, model, cr.null_subset(NA, 2))
+
+    def test_one_study_has_an_empty_left_half(self):
+        cond = analytic_conditionals(1, b=10)
+        combos = np.arange(10, dtype=np.int32)[:, None]
+        like = ms._sign_sparse(cond, combos)
+        assert like.left.shape == (1, like.right.shape[1]) and np.all(like.left == 1.0)
+        assert like.right.shape[0] == 2
+        assert np.issubdtype(like.table.dtype, np.integer)
+        dense = ms._likelihood_matrix(cond, ms._status_index_matrix(cr.enumerate_configurations(1)), combos)
+        pi = np.array([0.2, 0.5, 0.3])
+        assert_allclose(ms._mixture(like, pi), pi @ dense, rtol=0, atol=1e-15)
+        assert_allclose(ms._direction(like, np.ones(10)), dense.sum(axis=1), rtol=0, atol=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -678,40 +670,3 @@ class TestBinCountStability:
         assert union.sum() > 100
         # only features sitting on the threshold may flip between grids
         assert disagree <= 0.05 * union.sum()
-
-
-class TestOracleReport:
-    def test_all_null_truth_rejects_nothing(self):
-        bins = np.tile(np.arange(20, dtype=np.int32), (2, 1))
-        binned = make_binned(bins)
-        truth = np.zeros((2, 20), dtype=int)
-        pi = np.zeros(9)
-        pi[cr.enumerate_configurations(2).index((0, 0))] = 1.0
-        report = oracle_report(binned, truth, pi, cr.null_subset(NR, 2), q=0.05)
-        assert np.all(report.local_fdr == 1.0)
-        assert report.n_rejected == 0
-
-    def test_empirical_frequencies_converge_to_model(self):
-        rng = np.random.default_rng(12)
-        cond = analytic_conditionals(1, b=30)
-        m = 100_000
-        # every snp null in the single study; bins drawn from the null conditional
-        bins = rng.choice(30, size=(1, m), p=cond.probs[0, 1]).astype(np.int32)
-        truth = np.zeros((1, m), dtype=int)
-        emp = _empirical_conditionals(make_binned(bins, b=30), truth)
-        assert np.max(np.abs(emp.probs[0, 1] - cond.probs[0, 1])) < 0.01
-        # statuses absent from the data fall back to the truncated normal
-        centers = emp.centers[0]
-        assert np.all(emp.probs[0, 2][centers <= 0] == 0)
-        assert abs(emp.probs[0, 2].sum() - 1.0) < 1e-12
-
-    def test_truth_shape_validation(self):
-        bins = np.zeros((2, 10), dtype=np.int32)
-        with pytest.raises(DataError):
-            oracle_report(
-                make_binned(bins),
-                np.zeros((2, 9), dtype=int),
-                np.full(9, 1 / 9),
-                cr.null_subset(NR, 2),
-                0.05,
-            )
