@@ -177,7 +177,7 @@ def _scores(masks: dict, statuses: list[list[int]]) -> dict:
 
 def cmd_evaluate(args, out: Path) -> dict:
     snp_ids, masks = io.read_report_rejections(args.report)
-    truth_ids, statuses, _ = io.read_truth_statuses(args.truth)
+    truth_ids, statuses = io.read_truth(args.truth)
     if snp_ids != truth_ids:
         raise DataError("report and truth cover different snp sets")
     metrics = _scores(masks, statuses)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -110,33 +110,23 @@ def is_null_member(h, u: int) -> bool:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """A null hypothesis: a nonempty proper subset of the 3**n configurations.
+    """The null of u over n studies: it holds while fewer than u studies share a sign.
 
-    The null holds while fewer than u studies share a sign; members holds
-    sorted indices into enumerate_configurations(n).
+    members holds the sorted indices of its configurations in
+    enumerate_configurations(n). It needs 1 <= u <= n.
     """
 
     u: int
     n: int
-    members: tuple[int, ...]
+    members: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         n = _checked_study_count(self.n)
+        u = checked_u(self.u, n)
+        members = np.flatnonzero(null_truth_mask(np.array(enumerate_configurations(n)).T, u))
         object.__setattr__(self, "n", n)
-        size = 3**n
-        members = tuple(sorted(set(operator.index(i) for i in self.members)))
-        if any(i < 0 or i >= size for i in members):
-            raise ConfigError("member indices outside the configuration space")
-        if not 0 < len(members) < size:
-            raise ConfigError(
-                "a hypothesis set must be a nonempty proper subset of the space"
-            )
-        object.__setattr__(self, "members", members)
-
-    @property
-    def configurations(self) -> tuple[tuple[int, ...], ...]:
-        space = enumerate_configurations(self.n)
-        return tuple(space[i] for i in self.members)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "members", tuple(members.tolist()))
 
 
 def null_subset(u: int, n: int) -> HypothesisSet:
@@ -146,10 +136,7 @@ def null_subset(u: int, n: int) -> HypothesisSet:
     replicability) collects configurations with at most one +1 and at most
     one -1 entry, 1 + 2n + n(n-1) members. It needs 1 <= u <= n.
     """
-    space = np.array(enumerate_configurations(n)).T
-    u = checked_u(u, n)
-    members = tuple(np.flatnonzero(null_truth_mask(space, u)).tolist())
-    return HypothesisSet(u, n, members)
+    return HypothesisSet(u, n)
 
 
 def no_replicability_size(n: int) -> int:

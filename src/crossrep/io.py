@@ -270,39 +270,25 @@ def write_truth(truth: TruthPanel, study_ids, path) -> None:
     _write_table(path, header, truth.snp_ids, cells)
 
 
-def _truth_header(path, lines: list[str]) -> tuple[int, list[str]]:
-    """Width of a truth TSV and its study ids; a header without whole studies is a DataError."""
+def _truth_header(path, lines: list[str]) -> int:
+    """Width of a truth TSV; a header without whole studies is a DataError."""
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
-    return len(header), [name.removeprefix("h_") for name in header[1::3]]
+    return len(header)
 
 
-def read_truth(path) -> tuple[TruthPanel, list[str]]:
-    import numpy as np
-    from .sim import TruthPanel
-    lines = _read_lines(path)
-    width, study_ids = _truth_header(path, lines)
-    n = len(study_ids)
-    # A line is checked status columns first, then theta, then maf.
-    cells = [(k, _statuses) for k in range(1, width, 3)]
-    cells += [(k, _floats) for k in [*range(2, width, 3), *range(3, width, 3)]]
-    snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
-    statuses = np.array(values[:n], dtype=np.int8)
-    return TruthPanel(tuple(snp_ids), statuses, values[n : 2 * n], values[2 * n :]), study_ids
-
-
-def read_truth_statuses(path) -> tuple[tuple, list[list[int]], list[str]]:
-    """snp ids, each study's list of M statuses and the study ids of a truth TSV.
+def read_truth(path) -> tuple[tuple, list[list[int]]]:
+    """snp ids and each study's list of M statuses of a truth TSV.
 
     Parses the h_* columns only: theta and maf cells are not read, so neither
-    they nor their agreement with the statuses is checked (read_truth does).
+    they nor their agreement with the statuses is checked.
     """
     lines = _read_lines(path)
-    width, study_ids = _truth_header(path, lines)
+    width = _truth_header(path, lines)
     cells = [(k, _statuses) for k in range(1, width, 3)]
     snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
-    return tuple(snp_ids), values, study_ids
+    return tuple(snp_ids), values
 
 
 def _truth_line_fault(fields: list[str], width: int) -> str | None:

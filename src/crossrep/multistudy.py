@@ -336,7 +336,7 @@ def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, init: np.ndarray 
     for iteration in range(max_iter):
         mixture = _mixture(like, pi)
         _check_mixture(mixture, collapsed.inverse, snp_ids)
-        loglik = float(counts @ np.log(mixture))
+        loglik = float((counts * np.log(mixture)).sum())
         trace.append(loglik)
         if iteration > 0 and abs(loglik - trace[-2]) <= tol * abs(trace[-2]):
             converged = True

@@ -179,8 +179,6 @@ def estimate_marginal_density(
     counts: np.ndarray,
     centers: np.ndarray,
     width: float,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
 ) -> np.ndarray:
     """Fit the marginal z density from bin counts by Poisson regression.
 
@@ -223,18 +221,18 @@ def estimate_marginal_density(
     mu = y + 0.5
     eta = np.log(mu)
     deviance = _poisson_deviance(y, mu)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         sw = np.sqrt(mu)
         work = eta + (y - mu) / mu
         beta, *_ = np.linalg.lstsq(design * sw[:, None], work * sw, rcond=None)
         eta = np.clip(design @ beta, -300.0, 300.0)
         mu = np.exp(eta)
         new_deviance = _poisson_deviance(y, mu)
-        if abs(new_deviance - deviance) < tol * (abs(deviance) + 0.1):
+        if abs(new_deviance - deviance) < IRLS_TOL * (abs(deviance) + 0.1):
             break
         deviance = new_deviance
     else:
-        raise FitError(f"Poisson density fit did not converge in {max_iter} iterations")
+        raise FitError(f"Poisson density fit did not converge in {IRLS_MAX_ITER} iterations")
     return mu / (mu.sum() * width)
 
 

@@ -594,7 +594,7 @@ def write_truth_rows(truth, study_ids, path):
 def read_truth_rows(path):
     lines = cio._read_lines(path)
     header = lines[0].split("\t")
-    if header[0] != "snp_id" or (len(header) - 1) % 3 != 0:
+    if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise cr.DataError(f"{path}: malformed truth header")
     study_ids = [name.removeprefix("h_") for name in header[1::3]]
     n = len(study_ids)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import crossrep.io as cio
-from crossrep import ZPanel, no_association_pvalues, simulate_panel
+from crossrep import ZPanel, no_association_pvalues, simulate_panel, twogroup
 from crossrep.cli import build_parser, main
 from crossrep.io import read_zpanel, write_zpanel
 from helpers import concordant_design
@@ -328,6 +328,14 @@ class TestErrorChannels:
              "--bins", "5"]
         )
         assert code == 2
+
+    def test_unconverged_density_fit_is_a_model_error(self, sim_dir, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(twogroup, "IRLS_MAX_ITER", 1)
+        code = run(["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: Poisson density fit did not converge in 1 iterations\n")
 
     @pytest.mark.parametrize(
         "flag", [["--em-tol", "-1"], ["--em-tol", "nan"], ["--em-tol", "inf"],

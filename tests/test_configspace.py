@@ -21,6 +21,12 @@ from crossrep.configspace import HypothesisKind
 from helpers import NA, NR
 
 
+def configurations(subset):
+    """The status vectors a HypothesisSet's member indices name."""
+    space = enumerate_configurations(subset.n)
+    return tuple(space[i] for i in subset.members)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_count(n):
     space = enumerate_configurations(n)
@@ -48,12 +54,12 @@ def test_enumeration_size_guard(n):
 
 
 def test_no_replicability_members_two_studies():
-    got = set(null_subset(NR, 2).configurations)
+    got = set(configurations(null_subset(NR, 2)))
     assert got == {(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)}
 
 
 def test_no_replicability_complement_two_studies():
-    members = set(null_subset(NR, 2).configurations)
+    members = set(configurations(null_subset(NR, 2)))
     rest = [h for h in enumerate_configurations(2) if h not in members]
     assert set(rest) == {(1, 1), (-1, -1)}
 
@@ -61,7 +67,7 @@ def test_no_replicability_complement_two_studies():
 def test_no_association_is_all_zero_singleton():
     for n in (1, 3, 5):
         subset = null_subset(NA, n)
-        assert subset.configurations == ((0,) * n,)
+        assert configurations(subset) == ((0,) * n,)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -87,7 +93,7 @@ def test_membership_predicate_matches_subsets():
     for n in (2, 3):
         space = enumerate_configurations(n)
         for u in range(1, n + 1):
-            subset = set(null_subset(u, n).configurations)
+            subset = set(configurations(null_subset(u, n)))
             assert subset == {h for h in space if is_null_member(h, u)}
 
 
@@ -105,18 +111,23 @@ def test_null_sizes_match_the_closed_form(n):
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_u_outside_one_to_n_is_refused(n):
     for u in (0, n + 1):
-        with pytest.raises(ConfigError, match=rf"number of studies \({n}\), got u = {u}$"):
-            null_subset(u, n)
+        for make in (null_subset, HypothesisSet):
+            with pytest.raises(ConfigError, match=rf"number of studies \({n}\), got u = {u}$"):
+                make(u, n)
 
 
 def test_hypothesis_set_validation():
-    assert HypothesisSet(1, 2, (4, 4)).members == (4,)
-    with pytest.raises(ConfigError):
-        HypothesisSet(1, 2, ())
-    with pytest.raises(ConfigError):
-        HypothesisSet(2, 2, range(9))
-    with pytest.raises(ConfigError):
-        HypothesisSet(2, 2, (9,))
+    subset = HypothesisSet(np.int64(2), np.int8(3))
+    assert (subset.u, subset.n) == (2, 3) and type(subset.u) is type(subset.n) is int
+    assert subset == null_subset(2, 3)
+    assert HypothesisSet(1, 2).members == (4,)
+    for n in (0, 9):
+        with pytest.raises(SizeLimitError):
+            HypothesisSet(1, n)
+    with pytest.raises(TypeError):
+        HypothesisSet(1.0, 2)
+    with pytest.raises(TypeError):  # members follow from u and n
+        HypothesisSet(1, 2, (4,))
 
 
 def test_configuration_string_roundtrip():
@@ -136,7 +147,7 @@ def test_hypothesis_set_serialization_order():
     subset = null_subset(NR, 2)
     assert subset.u == 2 and type(subset.u) is int
     assert null_subset(HypothesisKind.NO_REPLICABILITY, 2) == subset  # each member is its own u
-    members = [config_to_string(h) for h in subset.configurations]
+    members = [config_to_string(h) for h in configurations(subset)]
     assert members == ["-0", "-+", "0-", "00", "0+", "+-", "+0"]
 
 

@@ -64,9 +64,11 @@ class TestTruthAndDesignIO:
         truth = draw_truth(design)
         path = tmp_path / "truth.tsv"
         cio.write_truth(truth, ("s1", "s2", "s3"), path)
-        back, study_ids = cio.read_truth(path)
+        snp_ids, statuses = cio.read_truth(path)
+        assert snp_ids == truth.snp_ids
+        assert statuses == truth.statuses.tolist()
+        back, study_ids = helpers.read_truth_rows(path)
         assert study_ids == ["s1", "s2", "s3"]
-        assert np.array_equal(back.statuses, truth.statuses)
         assert np.array_equal(back.theta, truth.theta)
         assert np.array_equal(back.maf, truth.maf)
 
@@ -94,7 +96,7 @@ class TestTruthAndDesignIO:
         with pytest.raises(DataError, match=r"truth\.tsv: line 3: column 'h_s2'"):
             cio.read_truth(path)
 
-    @pytest.mark.parametrize("column", ["h_s2", "theta_s2", "maf_s2"])
+    @pytest.mark.parametrize("column", ["h_s1", "h_s2", "h_s3"])
     def test_bad_cell_names_its_header(self, tmp_path, column):
         design = default_design(n_snps=5, seed=2)
         path = tmp_path / "truth.tsv"
@@ -157,8 +159,7 @@ def test_model_configurations_are_config_strings(n):
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "reader",
-        [cio.read_zpanel, cio.read_truth, cio.read_report_rejections, cio.read_json,
-         cio.read_truth_statuses],
+        [cio.read_zpanel, cio.read_truth, cio.read_report_rejections, cio.read_json],
     )
     def test_missing_file_is_data_error(self, tmp_path, reader):
         with pytest.raises(DataError, match=r"missing\.tsv: cannot read"):
@@ -277,13 +278,14 @@ class TestColumnarCodec:
             cio.write_truth(truth, study_ids, new)
             helpers.write_truth_rows(truth, study_ids, old)
             assert new.read_bytes() == old.read_bytes()
-            (back, ids), (ref, ref_ids) = cio.read_truth(new), helpers.read_truth_rows(new)
-        assert ids == ref_ids == study_ids
-        assert back.snp_ids == ref.snp_ids == truth.snp_ids
+            (snp_ids, statuses), (ref, ref_ids) = cio.read_truth(new), helpers.read_truth_rows(new)
+        assert ref_ids == study_ids
+        assert snp_ids == ref.snp_ids == truth.snp_ids
+        assert int_lists(statuses, truth.statuses)
+        if truth.n_snps:  # the row oracle cannot shape an empty body
+            assert int_lists(statuses, ref.statuses)
         for name in ("statuses", "theta", "maf"):
-            if truth.n_snps:  # the row oracle cannot shape an empty body
-                assert exact(getattr(back, name), getattr(ref, name))
-            assert getattr(back, name).tobytes() == getattr(truth, name).tobytes()
+            assert getattr(ref, name).tobytes() == getattr(truth, name).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(ids_and_columns=report_columns())
@@ -350,8 +352,6 @@ FAULTS = [
     ("zpanel", "empty cell", 1, ""),
     ("zpanel", "non-finite", 3, "inf"),
     ("zpanel", "nan", 2, "nan"),
-    ("truth", "non-number", 3, "1.2.3"),
-    ("truth", "non-finite", 6, "-inf"),
     ("truth", "bad status", 4, "2"),
     ("truth", "fractional status", 1, "1.0"),
     ("report", "bad flag", 3, "yes"),
@@ -399,12 +399,12 @@ class TestErrorParity:
         [
             # A bad cell on an earlier line wins over a bad line later on.
             ("zpanel", [(4, "blank line", None, None), (3, "non-number", 1, "x")]),
-            ("truth", [(6, "missing field", None, None), (2, "non-finite", 5, "nan")]),
+            ("truth", [(6, "missing field", None, None), (2, "bad status", 4, "-2")]),
             ("report", [(5, "extra field", None, None), (4, "bad flag", 6, "2")]),
-            # Within a line: columns left to right; truth statuses before theta/maf.
+            # Within a line: columns left to right; a truth status is read, theta is not.
             ("zpanel", [(3, "non-finite", 3, "inf"), (3, "non-number", 2, "x")]),
             ("truth", [(3, "non-number", 2, "x"), (3, "bad status", 4, "9")]),
-            ("truth", [(3, "non-number", 6, "x"), (3, "non-finite", 3, "inf")]),
+            ("truth", [(3, "bad status", 4, "9"), (3, "bad status", 1, "x")]),
         ],
     )
     def test_first_fault_in_reading_order(self, tmp_path, reader, faults):
@@ -426,7 +426,7 @@ class TestErrorParity:
 
 
 class TestTruthStatuses:
-    """read_truth_statuses is read_truth restricted to the h_* columns."""
+    """read_truth is the row oracle helpers.read_truth_rows restricted to the h_* columns."""
 
     @settings(max_examples=60, deadline=None)
     @given(truth_and_ids=truths())
@@ -435,20 +435,22 @@ class TestTruthStatuses:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "truth.tsv")
             cio.write_truth(truth, study_ids, path)
-            (full, full_ids), (snp_ids, statuses, ids) = (
-                cio.read_truth(path), cio.read_truth_statuses(path))
+            (snp_ids, statuses), (full, full_ids) = (
+                cio.read_truth(path), helpers.read_truth_rows(path))
         assert snp_ids == full.snp_ids == truth.snp_ids
-        assert ids == full_ids == study_ids
-        assert int_lists(statuses, full.statuses)
+        assert full_ids == study_ids
+        assert int_lists(statuses, truth.statuses)
+        if truth.n_snps:  # the row oracle cannot shape an empty body
+            assert int_lists(statuses, full.statuses)
 
     @pytest.mark.parametrize(
         "header", ["snp_id", "snp_id\th_a\ttheta_a", "id\th_a\ttheta_a\tmaf_a"])
     def test_malformed_header_matches_read_truth(self, tmp_path, header):
         path = tmp_path / "truth.tsv"
         path.write_text(header + "\n" + "rs1" + "\t0" * header.count("\t") + "\n")
-        message = outcome(cio.read_truth_statuses, path)
+        message = outcome(cio.read_truth, path)
         assert message == f"{path}: malformed truth header"
-        assert message == outcome(cio.read_truth, path)
+        assert message == outcome(helpers.read_truth_rows, path)
 
     @pytest.mark.parametrize("lineno", [2, 5], ids=["first", "later"])
     @pytest.mark.parametrize("fault,column,token", [
@@ -462,9 +464,9 @@ class TestTruthStatuses:
     def test_line_faults_match_read_truth(self, tmp_path, fault, column, token, lineno):
         path = base_files(tmp_path)["truth"]
         inject(path, lineno, fault, column, token)
-        message = outcome(cio.read_truth_statuses, path)
+        message = outcome(cio.read_truth, path)
         assert message is not None and message.startswith(f"{path}: line {lineno}: ")
-        assert message == outcome(cio.read_truth, path)
+        assert message == outcome(helpers.read_truth_rows, path)
         if column is not None:
             header = path.read_text().split("\n", 1)[0].split("\t")
             assert f"column {header[column]!r}" in message and header[column].startswith("h_")
@@ -473,9 +475,9 @@ class TestTruthStatuses:
         path = base_files(tmp_path)["truth"]
         inject(path, 3, "non-number", 2, "x")  # theta_s1
         inject(path, 4, "non-finite", 6, "nan")  # maf_s2
-        assert "column 'theta_s1'" in outcome(cio.read_truth, path)
-        snp_ids, statuses, study_ids = cio.read_truth_statuses(path)
-        assert snp_ids == tuple(f"rs{j}" for j in range(5)) and study_ids == ["s1", "s2"]
+        assert "column 'theta_s1'" in outcome(helpers.read_truth_rows, path)
+        snp_ids, statuses = cio.read_truth(path)
+        assert snp_ids == tuple(f"rs{j}" for j in range(5))
         assert statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
 
     def test_status_tokens_are_read_by_int(self, tmp_path):
@@ -483,8 +485,8 @@ class TestTruthStatuses:
         path = base_files(tmp_path)["truth"]
         inject(path, 3, "status", 1, "+1")
         inject(path, 4, "status", 1, " -1")
-        (full, _), (_, statuses, _) = cio.read_truth(path), cio.read_truth_statuses(path)
+        (full, _), (_, statuses) = helpers.read_truth_rows(path), cio.read_truth(path)
         assert full.statuses.tolist() == statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
         inject(path, 5, "status", 4, "1.0")
         message = f"{path}: line 5: column 'h_s2': '1.0' is not -1, 0 or +1"
-        assert outcome(cio.read_truth, path) == outcome(cio.read_truth_statuses, path) == message
+        assert outcome(helpers.read_truth_rows, path) == outcome(cio.read_truth, path) == message

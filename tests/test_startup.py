@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_importing_the_cli_does_not_load(module):
         f"print({module!r} in sys.modules)"
     )
     assert fresh_python(code) == "False"
+
+
+def test_every_lazy_name_resolves():
+    # a name left in the export table after its definition is deleted fails here
+    for name in crossrep.__all__:
+        module = import_module(f"crossrep.{crossrep._SOURCE[name]}")
+        assert crossrep.__getattr__(name) is getattr(module, name)
+    for name in crossrep._SUBMODULES:
+        assert crossrep.__getattr__(name) is import_module(f"crossrep.{name}")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        crossrep.__getattr__("no_such_name")
 
 
 def fresh_main(runs) -> str:

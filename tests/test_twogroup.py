@@ -6,6 +6,7 @@ from scipy.stats import norm
 from crossrep import (
     ConfigError,
     DataError,
+    FitError,
     StudyExcludedError,
     TwoGroupFit,
     ZPanel,
@@ -17,6 +18,7 @@ from crossrep import (
     fit_study,
     local_fdr_single,
     null_bin_density,
+    twogroup,
 )
 from crossrep.twogroup import DEFAULT_EXCLUSION_THRESHOLD, assign_bins
 from helpers import study_qualifies
@@ -143,6 +145,15 @@ class TestMarginalDensity:
         centers = np.linspace(-2, 2, 20)
         with pytest.raises(DataError):
             estimate_marginal_density(np.full(20, 2.0), centers, 0.2)
+
+    def test_non_convergence_is_a_fit_error(self, monkeypatch):
+        centers = np.linspace(-4, 4, 60)
+        width = centers[1] - centers[0]
+        counts = 1e6 * norm.pdf(centers) * width
+        monkeypatch.setattr(twogroup, "IRLS_MAX_ITER", 1)
+        message = r"^Poisson density fit did not converge in 1 iterations$"
+        with pytest.raises(FitError, match=message):
+            estimate_marginal_density(counts, centers, width)
 
 
 class TestAlternativeDensity:
