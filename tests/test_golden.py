@@ -1,9 +1,10 @@
 """Golden byte identity of the CLI chain on two fixed panels.
 
 A refactor that must not change any output keeps these digests. The
-default three-study panel (M = 2000, seed 5) goes through simulate,
-analyze, compare and evaluate; an eight-study panel goes through compare
-only, where the meta-analysis sums over eight studies. The digests hold
+default three-study panel (M = 2000, seed 5) and an eight-study panel
+both go through simulate, analyze, compare and evaluate. At n = 8 the
+meta-analysis sums over eight studies, and analyze excludes study_3 (its
+null fraction is 1) and fits the sign-sparse model of the other seven. The digests hold
 for one set of floating-point libraries: a different libm or BLAS may
 move last bits, and then a digest here changes with no change in crossrep.
 """
@@ -38,6 +39,17 @@ GOLDEN_N8 = {
         "e0fcfba9960371a8383210de8aeb716420d721b7680ffa3d20f22a2dcd9f98f5",
     "meta/report_meta.tsv":
         "547d1b04f1b214d346c172d942ba168c5d61aa638f6753ff300448743d4bfcd3",
+    "meta/metrics.json":
+        "b90de9cdc448db93ede8753fba2febdb3ffff77adf14922b360400cfd79b6cc5",
+}
+
+GOLDEN_N8_EB = {
+    "eb/fits.json":
+        "6af552e53f38b47e9ce1e42c013c07ccaf2a83b66e6a7c6ff209042ccb120543",
+    "eb/report_eb.tsv":
+        "47258ac07a26357aa47ae8a16ef443711f9b7e2015f3e83ee98016545fa3596c",
+    "eb/metrics.json":
+        "bb8caa7578bdbe6c3efabe1a0c57aa823853bfd883830403b8475a96d8b9afd6",
 }
 
 
@@ -49,15 +61,19 @@ def _run(*argv) -> None:
     assert main([str(a) for a in argv]) == 0
 
 
-@pytest.fixture(scope="module")
-def chain_n3(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden3")
-    _run("simulate", "--out-dir", root / "sim", "--snps", 2000, "--seed", 5)
+def _analyze_compare_evaluate(root) -> None:
     _run("analyze", "--input", root / "sim/zpanel.tsv", "--out-dir", root / "eb")
     _run("compare", "--input", root / "sim/zpanel.tsv", "--out-dir", root / "meta")
     for kind, report in (("eb", "report_eb.tsv"), ("meta", "report_meta.tsv")):
         _run("evaluate", "--report", root / kind / report,
              "--truth", root / "sim/truth.tsv", "--out-dir", root / kind)
+
+
+@pytest.fixture(scope="module")
+def chain_n3(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden3")
+    _run("simulate", "--out-dir", root / "sim", "--snps", 2000, "--seed", 5)
+    _analyze_compare_evaluate(root)
     return root
 
 
@@ -67,7 +83,7 @@ def chain_n8(tmp_path_factory):
     design = root / "design.json"
     design.write_text(json.dumps(concordant_design(8, 2000, 5)))
     _run("simulate", "--out-dir", root / "sim", "--design", design)
-    _run("compare", "--input", root / "sim/zpanel.tsv", "--out-dir", root / "meta")
+    _analyze_compare_evaluate(root)
     return root
 
 
@@ -79,3 +95,8 @@ def test_three_study_chain_is_byte_identical(chain_n3, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_N8))
 def test_eight_study_compare_is_byte_identical(chain_n8, name):
     assert _digest(chain_n8 / name) == GOLDEN_N8[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_N8_EB))
+def test_eight_study_analyze_is_byte_identical(chain_n8, name):
+    assert _digest(chain_n8 / name) == GOLDEN_N8_EB[name]
