@@ -16,35 +16,12 @@ from itertools import compress
 from pathlib import Path
 
 from . import io
-from .errors import (DEFAULT_BIN_COUNT, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, MIN_BIN_COUNT,
-                     ConfigError, CrossrepError, DataError, ModelError, fdr_level)
+from .errors import (DEFAULT_BIN_COUNT, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError,
+                     CrossrepError, DataError, ModelError, bin_count, em_iterations,
+                     em_tolerance, fdr_level)
 
 # Hypothesis label -> u: its null holds while fewer than u studies share a sign.
 _HYP_LABELS = {"na": 1, "nr": 2}
-
-
-# Option types. A value that parses but is out of range raises ConfigError,
-# which argparse lets through, so main returns 2 before any file is touched.
-
-def bin_count(text: str) -> int:
-    bins = int(text)
-    if bins < MIN_BIN_COUNT:
-        raise ConfigError(f"bin count must be at least {MIN_BIN_COUNT}")
-    return bins
-
-
-def em_tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 <= tol < float("inf"):
-        raise ConfigError(f"EM tolerance must be finite and at least 0, got {text}")
-    return tol
-
-
-def em_iterations(text: str) -> int:
-    limit = int(text)
-    if limit < 1:
-        raise ConfigError(f"EM iteration limit must be at least 1, got {limit}")
-    return limit
 
 
 def _nulls(hypothesis: str) -> dict:

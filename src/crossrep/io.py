@@ -117,18 +117,20 @@ def _flags(tokens: list[str]) -> list[bool]:
     return list(map("1".__eq__, tokens))
 
 
-def _field_count(fields: list[str], width: int) -> str | None:
+def _line_fault(fields: list[str], width: int) -> str | None:
+    if fields == [""]:
+        return "blank line"
     if len(fields) != width:
         return f"expected {width} fields, got {len(fields)}"
     return None
 
 
-def _read_table(path, lines: list[str], cells, line_fault):
+def _read_table(path, lines: list[str], cells):
     """Snp ids (column 0) below the header, and the cell columns parsed whole.
 
     cells lists (column index, parser) in the order a line is checked. Only
     when a check fails are the lines walked one by one, to raise the error
-    for the first fault: line_fault(fields, width) or a parser's message.
+    for the first fault: _line_fault's or a parser's message.
     """
     header = lines[0].split("\t")
     body = lines[1:]
@@ -141,7 +143,7 @@ def _read_table(path, lines: list[str], cells, line_fault):
         pass
     for lineno, line in enumerate(body, start=2):
         fields = line.split("\t")
-        problem = line_fault(fields, len(header))
+        problem = _line_fault(fields, len(header))
         for k, parse in cells:
             if problem:
                 break
@@ -172,12 +174,8 @@ def read_zpanel(path) -> ZPanel:
     if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
     cells = [(k, _floats) for k in range(1, len(header))]
-    snp_ids, z = _read_table(path, lines, cells, _panel_line_fault)
+    snp_ids, z = _read_table(path, lines, cells)
     return ZPanel(tuple(snp_ids), tuple(header[1:]), z)
-
-
-def _panel_line_fault(fields: list[str], width: int) -> str | None:
-    return "blank line" if fields == [""] else _field_count(fields, width)
 
 
 def write_zpanel(panel: ZPanel, path) -> None:
@@ -205,7 +203,7 @@ def fits_payload(fits: list[TwoGroupFit], binned: BinnedPanel) -> dict:
 def model_payload(model: ConfigModel, study_ids) -> dict:
     return {
         "study_ids": list(study_ids),
-        # the lexicographic order of model.space, which ConfigModel enforces
+        # the lexicographic order of model.space
         "configurations": list(map("".join, product("-0+", repeat=model.n_studies))),
         "pi": model.pi.tolist(),
         "em_trace": model.em_trace.tolist(),
@@ -257,7 +255,7 @@ def read_report_rejections(path) -> tuple[tuple, dict[str, list[bool]]]:
     if not labels:
         raise DataError(f"{path}: no rejected_* columns found")
     cells = [(k, _flags) for k in labels.values()]
-    snp_ids, masks = _read_table(path, lines, cells, _field_count)
+    snp_ids, masks = _read_table(path, lines, cells)
     return tuple(snp_ids), dict(zip(labels, masks))
 
 
@@ -287,12 +285,8 @@ def read_truth(path) -> tuple[tuple, list[list[int]]]:
     lines = _read_lines(path)
     width = _truth_header(path, lines)
     cells = [(k, _statuses) for k in range(1, width, 3)]
-    snp_ids, values = _read_table(path, lines, cells, _truth_line_fault)
+    snp_ids, values = _read_table(path, lines, cells)
     return tuple(snp_ids), values
-
-
-def _truth_line_fault(fields: list[str], width: int) -> str | None:
-    return None if len(fields) == width else "wrong field count"
 
 
 def design_payload(design: SimDesign) -> dict:
@@ -333,7 +327,7 @@ def design_from_payload(payload: dict) -> SimDesign:
             alpha=float(payload["alpha"]),
             seed=int(payload["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed design record: {exc}") from exc
 
 

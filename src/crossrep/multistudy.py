@@ -9,8 +9,8 @@ Bayes FDR for any null subset, and a running-mean estimate converts local
 values into the level-q rejection rule.
 
 The signed densities are truncated to their half-lines, so a feature's
-likelihood is zero on all but 2**n of the 3**n configurations; EM and
-local FDR work on that sign-sparse form (SignSparse) alone.
+likelihood is zero on all but 2**n of the 3**n configurations; EM,
+posteriors and local FDR work on that sign-sparse form (SignSparse) alone.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import HypothesisSet, enumerate_configurations
-from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError, DataError,
-                     DegenerateAlternativeError, ModelError, fdr_level)
-from .twogroup import BinnedPanel, TwoGroupFit, normal_pdf
+from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, DataError, DegenerateAlternativeError,
+                     ModelError, em_iterations, em_tolerance, fdr_level)
+from .twogroup import BinnedPanel, TwoGroupFit, null_bin_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +49,8 @@ class ConditionalBinDensities:
             probs.shape[2],
         ):
             raise DataError("conditional densities have inconsistent shapes")
-        if np.any(probs < 0):
-            raise DataError("conditional bin probabilities must be nonnegative")
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise DataError("conditional bin probabilities must be finite and nonnegative")
         if np.any(np.abs(probs.sum(axis=2) - 1.0) > 1e-9):
             raise DataError("each conditional bin vector must sum to 1")
         object.__setattr__(self, "centers", centers)
@@ -84,8 +84,7 @@ def build_conditionals(
                 f"study {fit.study_id!r} does not qualify: {fit.exclusion_reason}"
             )
         centers = binned.centers[i]
-        phi = normal_pdf(centers)
-        probs[i, 1] = phi / phi.sum()
+        probs[i, 1] = null_bin_density(centers, 1.0)
         for s, side in ((1, "z > 0"), (-1, "z < 0")):
             w = _half_line(fit.fA_hat, centers, s)
             if w.sum() <= 0:
@@ -103,9 +102,8 @@ def _half_line(values: np.ndarray, centers: np.ndarray, status: int) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class ConfigModel:
-    """Fitted configuration-probability model."""
+    """Fitted configuration-probability model: pi weighs space, the 3**n configurations."""
 
-    space: tuple
     pi: np.ndarray
     conditionals: ConditionalBinDensities
     em_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -120,18 +118,21 @@ class ConfigModel:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 1 or pi.size != len(self.space):
-            raise ModelError("probability vector does not match the space")
+        if pi.shape != (3**self.n_studies,):
+            raise ModelError(f"{pi.size} configuration probabilities for {self.n_studies} "
+                             f"studies; expected 3**{self.n_studies}")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ModelError("configuration probabilities must lie on the simplex")
-        if tuple(self.space) != tuple(enumerate_configurations(len(self.space[0]))):
-            raise ModelError("configurations must follow the lexicographic order")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "em_trace", np.asarray(self.em_trace, dtype=float))
 
     @property
     def n_studies(self) -> int:
-        return len(self.space[0])
+        return self.conditionals.n_studies
+
+    @property
+    def space(self) -> list:
+        return enumerate_configurations(self.n_studies)
 
 
 def _status_index_matrix(space) -> np.ndarray:
@@ -184,7 +185,8 @@ def _likelihood_matrix(
 ) -> np.ndarray:
     """(K, U) combo probabilities under each configuration, C-contiguous.
 
-    The row-wise Khatri-Rao product of the studies' (3, U) factors.
+    The row-wise Khatri-Rao product of the studies' (3, U) factors: the dense
+    reference for the sign-sparse form, which no fit or report uses.
     """
     n = cond.n_studies
     if not np.array_equal(status_idx, _status_index_matrix(enumerate_configurations(n))):
@@ -291,9 +293,8 @@ def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:
         raise ModelError(f"zero mixture likelihood for snp {snp}")
 
 
-def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, init: np.ndarray | None = None,
-           tol: float = EM_DEFAULT_TOL, max_iter: int = EM_DEFAULT_MAX_ITER,
-           snp_ids=None) -> ConfigModel:
+def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, tol: float = EM_DEFAULT_TOL,
+           max_iter: int = EM_DEFAULT_MAX_ITER, snp_ids=None) -> ConfigModel:
     """Maximize the composite likelihood over configuration probabilities.
 
     Standard mixture-weight EM with the conditional densities held fixed:
@@ -304,30 +305,19 @@ def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, init: np.ndarray 
     The returned model's em_gap bounds how far its log-likelihood L lies
     below the maximum: L(pi*) - L(pi) <= m log max_k g_k, with g the EM
     direction at pi (Lindsay 1983, Ann. Statist. 11:86). binned holds the
-    studies of cond, whose densities stay fixed; init, a length-3**n start on
-    the simplex, defaults to uniform weights.
+    studies of cond, whose densities stay fixed; EM starts from uniform weights.
     """
-    n = cond.n_studies
-    if binned.n_studies != n:
+    tol, max_iter = em_tolerance(tol), em_iterations(max_iter)
+    if binned.n_studies != cond.n_studies:
         raise DataError("binned panel and conditionals disagree on study count")
-    space = enumerate_configurations(n)
-    k = len(space)
+    k = 3**cond.n_studies
     m = binned.n_snps
     if m < k:
         warnings.warn(
             f"{m} features for {k} configurations; weight estimates will be noisy",
             stacklevel=2,
         )
-    if init is None:
-        pi = np.full(k, 1.0 / k)
-    else:
-        pi = np.asarray(init, dtype=float).copy()
-        if pi.shape != (k,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
-            raise ConfigError("init must be a length-3**n vector on the simplex")
-        pi /= pi.sum()
-    if max_iter < 1:
-        raise ConfigError("max_iter must be positive")
-
+    pi = np.full(k, 1.0 / k)
     collapsed = _collapsed_likelihood(binned.bin_index, cond)
     like, counts = collapsed.like, collapsed.counts
 
@@ -358,8 +348,8 @@ def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, init: np.ndarray 
             stacklevel=2,
         )
 
-    model = ConfigModel(space=tuple(space), pi=pi, conditionals=cond, em_trace=em_trace,
-                        converged=converged, n_iter=len(trace), em_gap=gap)
+    model = ConfigModel(pi=pi, conditionals=cond, em_trace=em_trace, converged=converged,
+                        n_iter=len(trace), em_gap=gap)
     object.__setattr__(model, "likelihood", collapsed)
     return model
 
@@ -368,9 +358,8 @@ def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     """Posterior configuration probabilities for one feature's bin vector."""
     if len(snp_bins) != model.n_studies:
         raise DataError("bin vector length must equal the model's study count")
-    combo = np.reshape(snp_bins, (1, -1))
-    like = _likelihood_matrix(model.conditionals, _status_index_matrix(model.space), combo)[:, 0]
-    weights = model.pi * like
+    like = _sign_sparse(model.conditionals, np.reshape(snp_bins, (1, -1)))
+    weights = model.pi * _direction(like, np.ones(1))
     total = weights.sum()
     if total <= 0.0:
         raise ModelError("zero posterior normalizer for the given bin vector")

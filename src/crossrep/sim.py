@@ -59,6 +59,8 @@ class SimDesign:
             raise ConfigError("need at least one study and one snp")
         if self.n_cases < 1 or self.n_controls < 1:
             raise ConfigError("need at least one case and one control")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         probs = {}
         for h, p in self.config_probs.items():
             h = validate_configuration(h)

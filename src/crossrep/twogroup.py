@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DEFAULT_BIN_COUNT, MIN_BIN_COUNT, ConfigError, DataError,
-                     DegenerateAlternativeError, FitError, StudyExcludedError)
+from . import errors
+from .errors import (DEFAULT_BIN_COUNT, DataError, DegenerateAlternativeError, FitError,
+                     StudyExcludedError)
 
 DEFAULT_EXCLUSION_THRESHOLD = 1.0 - 1e-9
 POLY_DEGREE = 7
@@ -121,10 +122,7 @@ def bin_panel(panel: ZPanel, bin_count: int = DEFAULT_BIN_COUNT) -> BinnedPanel:
     z range (a unit pad when the range is degenerate), so every value falls
     strictly inside the grid.
     """
-    if bin_count < MIN_BIN_COUNT:
-        raise ConfigError(
-            f"bin count must be at least {MIN_BIN_COUNT} for a stable density fit"
-        )
+    bin_count = errors.bin_count(bin_count)
     n, m = panel.z.shape
     edges = np.empty((n, bin_count + 1))
     centers = np.empty((n, bin_count))
@@ -159,13 +157,21 @@ def estimate_pi0(z_study: np.ndarray) -> float:
 
 def normal_pdf(x):
     """Standard normal density, computed as scipy's norm.pdf computes it."""
-    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+    with np.errstate(over="ignore"):  # x**2 = inf gives density 0
+        return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def null_bin_density(centers: np.ndarray, width: float) -> np.ndarray:
-    """Standard normal density renormalized to integrate to 1 over the grid."""
+    """Standard normal density renormalized to integrate to 1 over the grid.
+
+    A grid where it underflows to 0 at every center raises StudyExcludedError.
+    """
     w = normal_pdf(np.asarray(centers, dtype=float))
-    return w / (w.sum() * width)
+    total = w.sum()
+    if not total > 0:
+        raise StudyExcludedError("the standard normal has no mass at the bin centers "
+                                 f"(nearest center {np.abs(centers).min():.6g})")
+    return w / (total * width)
 
 
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -224,7 +230,10 @@ def estimate_marginal_density(
     for _ in range(IRLS_MAX_ITER):
         sw = np.sqrt(mu)
         work = eta + (y - mu) / mu
-        beta, *_ = np.linalg.lstsq(design * sw[:, None], work * sw, rcond=None)
+        try:
+            beta, *_ = np.linalg.lstsq(design * sw[:, None], work * sw, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"Poisson density fit failed: {exc}") from exc
         eta = np.clip(design @ beta, -300.0, 300.0)
         mu = np.exp(eta)
         new_deviance = _poisson_deviance(y, mu)

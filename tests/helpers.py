@@ -460,6 +460,14 @@ def _parse_float(token, path, lineno, column):
     return value
 
 
+def _check_line(fields, width, path, lineno):
+    """Every reader's line check: a blank line, then the field count."""
+    if fields == [""]:
+        raise cr.DataError(f"{path}: line {lineno}: blank line")
+    if len(fields) != width:
+        raise cr.DataError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+
+
 def _parse_status(token, path, lineno, column):
     try:
         value = int(token)
@@ -481,13 +489,8 @@ def read_zpanel_rows(path):
     snp_ids = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise cr.DataError(f"{path}: line {lineno}: blank line")
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise cr.DataError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
+        _check_line(fields, len(header), path, lineno)
         snp_ids.append(fields[0])
         rows.append(
             [
@@ -562,10 +565,7 @@ def read_report_rejections_rows(path):
     masks = {label: [] for label in labels}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise cr.DataError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
+        _check_line(fields, len(header), path, lineno)
         snp_ids.append(fields[0])
         for label, k in labels.items():
             if fields[k] not in ("0", "1"):
@@ -601,8 +601,7 @@ def read_truth_rows(path):
     snp_ids, statuses, theta, maf = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise cr.DataError(f"{path}: line {lineno}: wrong field count")
+        _check_line(fields, len(header), path, lineno)
         snp_ids.append(fields[0])
         statuses.append(
             [

@@ -58,6 +58,25 @@ class TestSimulate:
         assert design["n_snps"] == 500
         assert design["seed"] == 99
 
+    @pytest.mark.parametrize("flags,change,exit_code", [
+        (["--seed", "-1"], {}, 2),
+        ([], {"seed": -3}, 2),
+        ([], {"config_probs": [["000", 1.0]]}, 3),
+        ([], {"effect_ranges": [[0.25, 0.5], [-0.5, -0.25]]}, 3),
+    ], ids=["negative-seed-flag", "negative-seed-design", "listed-config-probs",
+            "listed-effect-ranges"])
+    def test_bad_seed_or_design_is_one_error_line(self, sim_dir, tmp_path, capsys, flags,
+                                                  change, exit_code):
+        design = json.loads((sim_dir / "design.json").read_text())
+        (tmp_path / "design.json").write_text(json.dumps({**design, **change}))
+        code = run(["simulate", "--design", tmp_path / "design.json", "--out-dir",
+                    tmp_path / "out", *flags])
+        assert code == exit_code
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "zpanel.tsv").exists()
+
     def test_replay_records_the_design_seed_and_size(self, sim_dir, tmp_path):
         code = run(
             ["simulate", "--design", sim_dir / "design.json", "--out-dir", tmp_path]
@@ -168,6 +187,27 @@ class TestAnalyze:
         assert warning.startswith("EM did not converge in 3 iterations")
         assert f"warning: {warning}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extremes", [(1.7e308,), (1e200, -1e200)],
+                             ids=["1.7e308", "pm1e200"])
+    def test_extreme_z_is_a_model_error(self, tmp_path, capsys, extremes):
+        # 1.7e308 overflows the density fit's centering; with +-1e200 every bin center of
+        # study A lies about 2e198 from 0, where the standard normal has no mass
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(2, 2000))
+        z[:, :200] *= 4
+        z[0, : len(extremes)] = extremes
+        write_zpanel(ZPanel(tuple(f"rs{j}" for j in range(2000)), ("A", "B"), z),
+                     tmp_path / "panel.tsv")
+        code = run(["analyze", "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "Traceback" not in err
+        if len(extremes) == 2:
+            assert "excluding study A: the standard normal has no mass at the bin centers" in err
+            (study_a, _) = json.loads((tmp_path / "fits.json").read_text())["studies"]
+            assert not study_a["qualifies"]
+            assert study_a["exclusion_reason"].startswith("the standard normal has no mass")
+
     def test_na_only_on_single_study(self, tmp_path):
         rng = np.random.default_rng(2)
         z = np.concatenate([rng.normal(size=1800), rng.normal(3, 1, size=200)])
@@ -264,7 +304,7 @@ class TestEvaluate:
         )
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'truth.tsv'}: line 5: wrong field count\n")
+            f"error: {tmp_path / 'truth.tsv'}: line 5: expected 10 fields, got 9\n")
 
 
 class TestErrorChannels:

@@ -138,6 +138,14 @@ class TestBuildConditionals:
         with pytest.raises(ModelError):
             build_conditionals([fit], binned)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_conditionals_are_refused(self, value):
+        cond = analytic_conditionals(2, b=10)
+        probs = cond.probs.copy()
+        probs[1, 1, 4] = value
+        with pytest.raises(DataError, match="must be finite and nonnegative"):
+            ConditionalBinDensities(cond.centers, probs)
+
     def test_one_sided_alternative_is_degenerate(self):
         _, centers, width = grid(-4, 4, 40)
         fa = np.where(centers > 0, norm.pdf(centers, 2.5, 1), 0.0)
@@ -204,29 +212,6 @@ class TestEmFit:
         assert abs(model.pi.sum() - 1.0) <= 1e-12
         assert np.all(model.pi >= 0)
 
-    def test_initialization_invariance(self):
-        rng = np.random.default_rng(6)
-        cond = analytic_conditionals(2, b=25, mode=3.0)
-        d = {(0, 0): 0.8, (1, 1): 0.1, (-1, -1): 0.06, (1, 0): 0.04}
-        space = cr.enumerate_configurations(2)
-        pi_true = np.array([d.get(h, 0.0) for h in space])
-        bins, _ = sample_panel_bins(rng, cond, pi_true, 3000)
-        binned = make_binned(bins)
-        lls = []
-        for seed in (1, 2):
-            init = np.random.default_rng(seed).dirichlet(np.ones(9))
-            model = em_fit(binned, cond, init=init, tol=1e-12, max_iter=100_000)
-            lls.append(model.em_trace[-1])
-        assert abs(lls[0] - lls[1]) < 1e-6
-
-    def test_init_validation(self):
-        cond = analytic_conditionals(1, b=15)
-        binned = make_binned(np.zeros((1, 40), dtype=int), -6, 6)
-        with pytest.raises(ConfigError):
-            em_fit(binned, cond, init=np.array([0.5, 0.5]))
-        with pytest.raises(ConfigError):
-            em_fit(binned, cond, init=np.array([0.9, 0.2, -0.1]))
-
     def test_small_panel_warns(self):
         cond = analytic_conditionals(2, b=15)
         bins = np.zeros((2, 5), dtype=int)
@@ -278,13 +263,28 @@ class TestEmFit:
         assert gaps == sorted(gaps, reverse=True)  # a tighter stop never raises it
         assert gaps[-1] < 1e-3
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tolerance_out_of_range_is_a_config_error(self, tol):
+        binned = make_binned(np.full((1, 40), 7), b=15)
+        with pytest.raises(ConfigError, match="EM tolerance must be finite and at least 0"):
+            em_fit(binned, analytic_conditionals(1, b=15), tol=tol)
+
+    def test_iteration_limit_is_a_positive_integer(self):
+        binned = make_binned(np.full((1, 40), 7), b=15)
+        cond = analytic_conditionals(1, b=15)
+        with pytest.raises(ConfigError, match="EM iteration limit must be at least 1, got 0"):
+            em_fit(binned, cond, max_iter=0)
+        with pytest.raises(TypeError):
+            em_fit(binned, cond, max_iter=10.0)
+
     def test_zero_mixture_names_snp(self):
+        # the mixture check em_fit and local_fdr_panel share, on a hand-built model:
+        # all mass on +1, but snp_b sits in a negative-center bin
         cond = analytic_conditionals(1, b=15, lo=-6, hi=6)
-        # init mass only on +1, but snp 1 sits in a negative-center bin
-        init = np.array([0.0, 0.0, 1.0])
-        bins = np.array([[12, 2, 13]], dtype=np.int32)
+        model = ConfigModel(np.array([0.0, 0.0, 1.0]), cond)
+        binned = make_binned(np.array([[12, 2, 13]], dtype=np.int32), b=15)
         with pytest.raises(ModelError, match="snp_b"):
-            em_fit(make_binned(bins), cond, init=init, snp_ids=("snp_a", "snp_b", "snp_c"))
+            local_fdr_panel(binned, model, cr.null_subset(NA, 1), ("snp_a", "snp_b", "snp_c"))
 
 
 class TestPosterior:
@@ -292,7 +292,7 @@ class TestPosterior:
         rng = np.random.default_rng(7)
         cond = analytic_conditionals(3, b=20)
         pi = rng.dirichlet(np.ones(27))
-        model = ConfigModel(tuple(cr.enumerate_configurations(3)), pi, cond)
+        model = ConfigModel(pi, cond)
         for bins in ((0, 5, 19), (10, 10, 10), (3, 18, 9)):
             assert abs(posterior(bins, model).sum() - 1.0) <= 1e-12
 
@@ -301,7 +301,7 @@ class TestPosterior:
         pi = np.zeros(9)
         idx = cr.enumerate_configurations(2).index((0, 0))
         pi[idx] = 1.0
-        model = ConfigModel(tuple(cr.enumerate_configurations(2)), pi, cond)
+        model = ConfigModel(pi, cond)
         for bins in ((0, 0), (19, 19), (10, 3)):
             post = posterior(bins, model)
             assert post[idx] == 1.0
@@ -310,13 +310,13 @@ class TestPosterior:
     def test_zero_normalizer_is_a_model_error(self):
         cond = analytic_conditionals(1, b=20)
         pi = np.array([0.0, 0.0, 1.0])  # all weight on +1
-        model = ConfigModel(tuple(cr.enumerate_configurations(1)), pi, cond)
+        model = ConfigModel(pi, cond)
         with pytest.raises(ModelError, match="normalizer"):
             posterior((0,), model)  # negative-center bin under a +1-only model
 
     def test_matches_pencil_and_paper_bayes_rule(self):
         pi = np.array([0.05, 0.1, 0.05, 0.1, 0.4, 0.1, 0.05, 0.1, 0.05])
-        model = ConfigModel(tuple(cr.enumerate_configurations(2)), pi, PENCIL_COND)
+        model = ConfigModel(pi, PENCIL_COND)
         space = cr.enumerate_configurations(2)
         for bins in ((2, 0), (0, 0), (3, 3), (1, 2)):
             manual = np.array(
@@ -336,7 +336,7 @@ class TestLocalFdrSet:
         rng = np.random.default_rng(seed)
         cond = analytic_conditionals(2, b=20)
         pi = rng.dirichlet(np.ones(9))
-        return ConfigModel(tuple(cr.enumerate_configurations(2)), pi, cond)
+        return ConfigModel(pi, cond)
 
     def test_subset_monotonicity(self):
         model = self.make_model()
@@ -395,10 +395,16 @@ class TestCollapsedLikelihood:
         with pytest.raises(ModelError, match="lexicographic"):
             ms._likelihood_matrix(cond, status_idx, np.zeros((1, 2), dtype=np.int32))
 
-    def test_model_space_out_of_order_is_refused(self):
-        space = tuple(cr.enumerate_configurations(2))[::-1]
-        with pytest.raises(ModelError, match="lexicographic"):
-            ConfigModel(space, np.full(9, 1 / 9), analytic_conditionals(2, b=10))
+    @pytest.mark.parametrize("n,k", [(2, 27), (3, 9), (2, 3)])
+    def test_weights_must_cover_the_conditionals_configurations(self, n, k):
+        with pytest.raises(ModelError, match=rf"{k} configuration probabilities for {n} studies"):
+            ConfigModel(np.full(k, 1 / k), analytic_conditionals(n, b=10))
+
+    def test_space_is_the_lexicographic_enumeration(self):
+        model = ConfigModel(np.full(27, 1 / 27), analytic_conditionals(3, b=10))
+        assert model.n_studies == 3
+        assert model.space == cr.enumerate_configurations(3)
+        assert model.space.index((0, 0, 0)) == 13
 
     @pytest.mark.filterwarnings("ignore:\\d+ features for")
     @pytest.mark.parametrize("n", range(1, 9))
@@ -468,9 +474,11 @@ class TestCollapsedLikelihood:
         message = r"study 1 are not truncated: .* at bin 0 \(center -5\.4\)"
         with pytest.raises(DataError, match=message):
             em_fit(binned, cond)
-        model = ConfigModel(tuple(cr.enumerate_configurations(2)), np.full(9, 1 / 9), cond)
+        model = ConfigModel(np.full(9, 1 / 9), cond)
         with pytest.raises(DataError, match=message):
             local_fdr_panel(binned, model, cr.null_subset(NA, 2))
+        with pytest.raises(DataError, match=message):
+            posterior((0, 0), model)
 
     def test_one_study_has_an_empty_left_half(self):
         cond = analytic_conditionals(1, b=10)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -76,6 +78,10 @@ class TestDesign:
                 alpha=-6.0,
                 seed=0,
             )
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            dataclasses.replace(default_design(n_snps=10), seed=-1)
 
 
 class TestTruth:

@@ -58,6 +58,12 @@ class TestBinning:
         with pytest.raises(ConfigError):
             bin_panel(panel, 9)
 
+    def test_bin_count_is_an_integer(self):
+        panel = make_panel([np.linspace(-1, 1, 30)])
+        with pytest.raises(TypeError):
+            bin_panel(panel, 10.0)
+        assert bin_panel(panel, np.int64(10)).bin_count == 10
+
     def test_repeated_value_lands_in_one_bin(self):
         panel = make_panel([np.zeros(20)])
         binned = bin_panel(panel, 10)
@@ -155,6 +161,13 @@ class TestMarginalDensity:
         with pytest.raises(FitError, match=message):
             estimate_marginal_density(counts, centers, width)
 
+    def test_failed_least_squares_is_a_fit_error(self):
+        # centering these centers overflows, and the least-squares step gets no finite system
+        centers = 1.7e308 * np.linspace(-0.5, 1.0, 50)
+        counts = np.full(50, 10.0)
+        with np.errstate(all="ignore"), pytest.raises(FitError, match="Poisson density fit failed"):
+            estimate_marginal_density(counts, centers, centers[1] - centers[0])
+
 
 class TestAlternativeDensity:
     def test_exact_cancellation_leaves_zero(self):
@@ -184,6 +197,13 @@ class TestAlternativeDensity:
         fa = alternative_density(f, 0.9, centers, width)
         outer = np.abs(centers) >= 2
         assert_allclose(fa[outer], two_comp[outer], rtol=0.05)
+
+    def test_grid_without_null_mass_is_excluded(self):
+        centers = np.linspace(-1e200, 1e200, 50)
+        with pytest.raises(StudyExcludedError, match=r"no mass at the bin centers \(nearest center"):
+            null_bin_density(centers, centers[1] - centers[0])
+        with pytest.raises(StudyExcludedError):
+            alternative_density(np.full(50, 0.02), 0.5, centers, centers[1] - centers[0])
 
     def test_pi0_one_is_excluded(self):
         centers = np.linspace(-3, 3, 30)
