@@ -1,10 +1,10 @@
 """TSV and JSON serialization for panels, fits, models, reports and runs.
 
-All files are plain text. Writes go through a temp file plus rename so a
-crashed run never leaves a half-written output, and nothing written here
-depends on wall-clock time, so identical inputs give byte-identical
-outputs. numpy and the model types are imported where arrays or models are
-built, so reading flags and truth statuses (all evaluate does) loads no numpy.
+All files are plain text, and tables are read and written in blocks of
+lines. Writes go through a temp file plus rename so a crashed run never
+leaves a half-written output; nothing written depends on wall-clock time,
+so identical inputs give byte-identical outputs. numpy is imported where
+arrays are built, so reading flags and statuses (all evaluate does) needs none.
 """
 
 from __future__ import annotations
@@ -14,28 +14,32 @@ import json
 import os
 import sys
 import tempfile
-from itertools import product, repeat
+from array import array
+from contextlib import contextmanager
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
 
 if TYPE_CHECKING:
-    import numpy as np
     from .multistudy import ConfigModel
     from .sim import SimDesign, TruthPanel
     from .twogroup import BinnedPanel, TwoGroupFit, ZPanel
 
 _FLOAT_FMT = "%.17g"
+_READ_BLOCK = 1 << 16  # readlines size hint, in characters, of one block of lines
+_WRITE_BLOCK = 1024  # rows formatted per write
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, text) -> None:
+    """Write text, one string or an iterable of strings, via a temp file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -47,26 +51,21 @@ def write_json(path, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_text(path) -> str:
-    """File contents; a missing, unreadable or non-text file is a DataError."""
+@contextmanager
+def _reading(path):
+    """Open a text file; a missing, unreadable or non-text file is a DataError."""
     try:
         with open(path) as handle:
-            return handle.read()
+            yield handle
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text file: {exc.reason}") from exc
 
 
-def _read_lines(path) -> list[str]:
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    return lines
-
-
 def read_json(path):
-    text = _read_text(path)
+    with _reading(path) as handle:
+        text = handle.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -83,7 +82,7 @@ def sha256_file(path) -> str:
 
 # Column parsers raise a ValueError whose message is the error for one bad token.
 
-def _floats(tokens: list[str]) -> np.ndarray:
+def _floats(tokens: list[str]) -> array:
     import numpy as np
     try:
         values = np.fromiter(map(float, tokens), float, len(tokens))
@@ -91,7 +90,7 @@ def _floats(tokens: list[str]) -> np.ndarray:
         raise ValueError("column {column!r}: {token!r} is not a number") from None
     if not np.isfinite(values).all():
         raise ValueError("column {column!r}: missing or non-finite value")
-    return values
+    return array("d", values.tobytes())
 
 
 _STATUS_TOKENS = {"-1": -1, "0": 0, "1": 1}
@@ -125,25 +124,44 @@ def _line_fault(fields: list[str], width: int) -> str | None:
     return None
 
 
-def _read_table(path, lines: list[str], cells):
-    """Snp ids (column 0) below the header, and the cell columns parsed whole.
+def _read_table(path, header_cells):
+    """Header and columns of a TSV, read in blocks of lines: snp ids, then the cells.
 
-    cells lists (column index, parser) in the order a line is checked. Only
-    when a check fails are the lines walked one by one, to raise the error
-    for the first fault: _line_fault's or a parser's message.
+    header_cells(path, header) checks the header and returns (column index,
+    parser) pairs in the order a line is checked.
     """
-    header = lines[0].split("\t")
-    body = lines[1:]
+    with _reading(path) as handle:
+        blocks = iter(lambda: "".join(handle.readlines(_READ_BLOCK)).splitlines(), [])
+        lines = next(blocks, [])
+        if not lines:
+            raise DataError(f"{path}: empty file")
+        header = lines[0].split("\t")
+        cells = header_cells(path, header)
+        columns = [[], *(parse([]) for _, parse in cells)]
+        lineno = 2
+        for body in chain([lines[1:]], blocks):
+            for column, block in zip(columns, _parse_block(path, header, cells, body, lineno)):
+                column.extend(block)
+            lineno += len(body)
+    return header, columns
+
+
+def _parse_block(path, header: list[str], cells, lines: list[str], lineno: int):
+    """Snp ids and cell columns of lines, the first numbered lineno, parsed whole.
+
+    On a failed check the lines are walked one by one to raise the first fault.
+    """
+    width = len(header)
     try:
-        if list(map(str.count, body, repeat("\t"))).count(len(header) - 1) != len(body):
+        if list(map(str.count, lines, repeat("\t"))).count(width - 1) != len(lines):
             raise ValueError("wrong field count")
-        tokens = "\t".join(body).split("\t") if body else []
-        return tokens[:: len(header)], [parse(tokens[k :: len(header)]) for k, parse in cells]
+        tokens = "\t".join(lines).split("\t") if lines else []
+        return [tokens[::width], *(parse(tokens[k::width]) for k, parse in cells)]
     except ValueError:
         pass
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(lines, start=lineno):
         fields = line.split("\t")
-        problem = _line_fault(fields, len(header))
+        problem = _line_fault(fields, width)
         for k, parse in cells:
             if problem:
                 break
@@ -157,24 +175,28 @@ def _read_table(path, lines: list[str], cells):
 
 
 def _write_table(path, header: list[str], snp_ids, cells) -> None:
-    """TSV of snp ids and (format, values) columns, one format string per row."""
+    """TSV of snp ids and (format, values) columns, formatted in blocks of rows."""
     import numpy as np
-    row = "\t".join(["%s", *(fmt for fmt, _ in cells)])
-    rows = map(row.__mod__, zip(snp_ids, *(np.asarray(v).tolist() for _, v in cells)))
-    _atomic_write(path, "\n".join(["\t".join(header), *rows]) + "\n")
+    row = "\t".join(["%s", *(fmt for fmt, _ in cells)]) + "\n"
+    columns = [np.asarray(v) for _, v in cells]
+    rows = (slice(lo, lo + _WRITE_BLOCK) for lo in range(0, len(snp_ids), _WRITE_BLOCK))
+    blocks = ("".join(map(row.__mod__, zip(snp_ids[r], *(c[r].tolist() for c in columns))))
+              for r in rows)
+    _atomic_write(path, chain(["\t".join(header) + "\n"], blocks))
+
+
+def _zpanel_cells(path, header: list[str]):
+    if header[0] != "snp_id" or len(header) < 2:
+        raise DataError(f"{path}: line 1: header must be snp_id followed by study ids")
+    return [(k, _floats) for k in range(1, len(header))]
 
 
 def read_zpanel(path) -> ZPanel:
     """Read a z-score panel TSV: header snp_id then one column per study."""
     from .twogroup import ZPanel
-    lines = _read_lines(path)
-    header = lines[0].split("\t")
-    if header[0] != "snp_id" or len(header) < 2:
-        raise DataError(f"{path}: line 1: header must be snp_id followed by study ids")
-    if len(lines) < 2:
+    header, (snp_ids, *z) = _read_table(path, _zpanel_cells)
+    if not snp_ids:
         raise DataError(f"{path}: no data rows")
-    cells = [(k, _floats) for k in range(1, len(header))]
-    snp_ids, z = _read_table(path, lines, cells)
     return ZPanel(tuple(snp_ids), tuple(header[1:]), z)
 
 
@@ -241,21 +263,19 @@ def write_comparison_report(path, snp_ids, columns: dict) -> None:
     _write_table(path, header, snp_ids, cells)
 
 
-def read_report_rejections(path) -> tuple[tuple, dict[str, list[bool]]]:
-    """Snp ids and the rejection masks keyed by hypothesis label of any report TSV."""
-    lines = _read_lines(path)
-    header = lines[0].split("\t")
+def _report_cells(path, header: list[str]):
     if header[0] != "snp_id":
         raise DataError(f"{path}: first column must be snp_id")
-    labels = {
-        name.removeprefix("rejected_"): k
-        for k, name in enumerate(header)
-        if name.startswith("rejected_")
-    }
-    if not labels:
+    cells = [(k, _flags) for k, name in enumerate(header) if name.startswith("rejected_")]
+    if not cells:
         raise DataError(f"{path}: no rejected_* columns found")
-    cells = [(k, _flags) for k in labels.values()]
-    snp_ids, masks = _read_table(path, lines, cells)
+    return cells
+
+
+def read_report_rejections(path) -> tuple[tuple, dict[str, list[bool]]]:
+    """Snp ids and the rejection masks keyed by hypothesis label of any report TSV."""
+    header, (snp_ids, *masks) = _read_table(path, _report_cells)
+    labels = [name.removeprefix("rejected_") for name in header if name.startswith("rejected_")]
     return tuple(snp_ids), dict(zip(labels, masks))
 
 
@@ -268,12 +288,11 @@ def write_truth(truth: TruthPanel, study_ids, path) -> None:
     _write_table(path, header, truth.snp_ids, cells)
 
 
-def _truth_header(path, lines: list[str]) -> int:
-    """Width of a truth TSV; a header without whole studies is a DataError."""
-    header = lines[0].split("\t")
+def _truth_cells(path, header: list[str]):
+    """The h_* status columns; a header without whole studies is a DataError."""
     if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise DataError(f"{path}: malformed truth header")
-    return len(header)
+    return [(k, _statuses) for k in range(1, len(header), 3)]
 
 
 def read_truth(path) -> tuple[tuple, list[list[int]]]:
@@ -282,11 +301,8 @@ def read_truth(path) -> tuple[tuple, list[list[int]]]:
     Parses the h_* columns only: theta and maf cells are not read, so neither
     they nor their agreement with the statuses is checked.
     """
-    lines = _read_lines(path)
-    width = _truth_header(path, lines)
-    cells = [(k, _statuses) for k in range(1, width, 3)]
-    snp_ids, values = _read_table(path, lines, cells)
-    return tuple(snp_ids), values
+    _, (snp_ids, *statuses) = _read_table(path, _truth_cells)
+    return tuple(snp_ids), statuses
 
 
 def design_payload(design: SimDesign) -> dict:

@@ -134,9 +134,12 @@ def bin_panel(panel: ZPanel, bin_count: int = DEFAULT_BIN_COUNT) -> BinnedPanel:
         pad = 0.01 * (hi - lo)
         if pad == 0.0:
             pad = 1.0
-        edges[i] = np.linspace(lo - pad, hi + pad, bin_count + 1)
-        centers[i] = 0.5 * (edges[i, :-1] + edges[i, 1:])
-        widths[i] = (edges[i, -1] - edges[i, 0]) / bin_count
+        with np.errstate(over="ignore", invalid="ignore"):  # the density fit centers the grid
+            edges[i] = np.linspace(lo - pad, hi + pad, bin_count + 1)
+            centers[i] = 0.5 * (edges[i, :-1] + edges[i, 1:])
+            widths[i] = (edges[i, -1] - edges[i, 0]) / bin_count
+            if not np.isfinite([centers[i].mean(), widths[i]]).all():
+                raise FitError(f"study {panel.study_ids[i]}: z-scores too large to bin and center")
         bin_index[i] = assign_bins(zi, edges[i])
     return BinnedPanel(bin_count, edges, centers, widths, bin_index)
 

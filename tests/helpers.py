@@ -446,6 +446,15 @@ def unique_rows_collapse(bin_index):
 # codec in crossrep.io. read_truth_rows names a bad theta or maf cell by its
 # header, as the status column always did.
 
+def _read_lines(path):
+    """Every line of a text file, read whole; an empty file is a DataError."""
+    with cio._reading(path) as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise cr.DataError(f"{path}: empty file")
+    return lines
+
+
 def _parse_float(token, path, lineno, column):
     try:
         value = float(token)
@@ -481,7 +490,7 @@ def _parse_status(token, path, lineno, column):
 
 
 def read_zpanel_rows(path):
-    lines = cio._read_lines(path)
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 2:
         raise cr.DataError(f"{path}: line 1: header must be snp_id followed by study ids")
@@ -550,7 +559,7 @@ def write_comparison_report_rows(path, snp_ids, columns):
 
 
 def read_report_rejections_rows(path):
-    lines = cio._read_lines(path)
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id":
         raise cr.DataError(f"{path}: first column must be snp_id")
@@ -592,7 +601,7 @@ def write_truth_rows(truth, study_ids, path):
 
 
 def read_truth_rows(path):
-    lines = cio._read_lines(path)
+    lines = _read_lines(path)
     header = lines[0].split("\t")
     if header[0] != "snp_id" or len(header) < 4 or (len(header) - 1) % 3 != 0:
         raise cr.DataError(f"{path}: malformed truth header")

@@ -1,5 +1,7 @@
 import argparse
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,11 +189,12 @@ class TestAnalyze:
         assert warning.startswith("EM did not converge in 3 iterations")
         assert f"warning: {warning}\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extremes", [(1.7e308,), (1e200, -1e200)],
-                             ids=["1.7e308", "pm1e200"])
-    def test_extreme_z_is_a_model_error(self, tmp_path, capsys, extremes):
-        # 1.7e308 overflows the density fit's centering; with +-1e200 every bin center of
-        # study A lies about 2e198 from 0, where the standard normal has no mass
+    @pytest.mark.parametrize("extremes", [(1.7e308,), (1e200, -1e200), (1e307,)],
+                             ids=["1.7e308", "pm1e200", "1e307"])
+    def test_extreme_z_is_a_model_error(self, tmp_path, capfd, extremes):
+        # 1.7e308 overflows the bin grid's midpoints and 1e307 the density fit's centering,
+        # both checked before numpy warns or LAPACK prints; with +-1e200 every bin center
+        # of study A lies about 2e198 from 0, where the standard normal has no mass
         rng = np.random.default_rng(0)
         z = rng.normal(size=(2, 2000))
         z[:, :200] *= 4
@@ -200,9 +203,12 @@ class TestAnalyze:
                      tmp_path / "panel.tsv")
         code = run(["analyze", "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path])
         assert code == 4
-        err = capsys.readouterr().err
+        out, err = capfd.readouterr()
+        assert out == "" and "warning:" not in err
         assert err.count("error: ") == 1 and "Traceback" not in err
-        if len(extremes) == 2:
+        if len(extremes) == 1:
+            assert err == "error: study A: z-scores too large to bin and center\n"
+        else:
             assert "excluding study A: the standard normal has no mass at the bin centers" in err
             (study_a, _) = json.loads((tmp_path / "fits.json").read_text())["studies"]
             assert not study_a["qualifies"]
@@ -352,6 +358,22 @@ class TestErrorChannels:
         )
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_text_past_the_first_block(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "zpanel.tsv").read_bytes().split(b"\n")
+        lines[1500] = b"\xff" + lines[1500]
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\n".join(lines))
+        assert len(b"\n".join(lines[:1500])) > cio._READ_BLOCK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["analyze", "--input", bad, "--out-dir", tmp_path / "out"])
+            gc.collect()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not a text file: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_uncreatable_out_dir_is_config_error(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "file.txt" / "sub"

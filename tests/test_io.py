@@ -1,5 +1,9 @@
+import gc
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,68 +259,83 @@ def int_lists(values, statuses):
             and values == statuses.tolist())
 
 
+# Each codec case writes with the columnar writer and the row oracle, compares the
+# bytes, and reads the file back with both readers.
+
+def zpanel_codec_case(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+        cio.write_zpanel(panel, new)
+        helpers.write_zpanel_rows(panel, old)
+        assert new.read_bytes() == old.read_bytes()
+        back, ref = cio.read_zpanel(new), helpers.read_zpanel_rows(new)
+    assert back.snp_ids == ref.snp_ids == panel.snp_ids
+    assert back.study_ids == ref.study_ids == panel.study_ids
+    assert exact(back.z, ref.z)
+    assert back.z.tobytes() == panel.z.tobytes()
+
+
+def truth_codec_case(truth_and_ids):
+    truth, study_ids = truth_and_ids
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+        cio.write_truth(truth, study_ids, new)
+        helpers.write_truth_rows(truth, study_ids, old)
+        assert new.read_bytes() == old.read_bytes()
+        (snp_ids, statuses), (ref, ref_ids) = cio.read_truth(new), helpers.read_truth_rows(new)
+    assert ref_ids == study_ids
+    assert snp_ids == ref.snp_ids == truth.snp_ids
+    assert int_lists(statuses, truth.statuses)
+    if truth.n_snps:  # the row oracle cannot shape an empty body
+        assert int_lists(statuses, ref.statuses)
+    for name in ("statuses", "theta", "maf"):
+        assert getattr(ref, name).tobytes() == getattr(truth, name).tobytes()
+
+
+def report_codec_case(ids_and_columns):
+    snp_ids, columns = ids_and_columns
+    reports = {
+        label: DiscoveryReport(None, 0.05, lf, fdr, 0.0, rej)
+        for label, (lf, fdr, rej) in columns.items()
+    }
+    comparison = {
+        label: {"p": p, "p_adjusted": adj, "rejected": rej}
+        for label, (p, adj, rej) in columns.items()
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, oracle, payload in (
+            (cio.write_analysis_report, helpers.write_analysis_report_rows, reports),
+            (cio.write_comparison_report, helpers.write_comparison_report_rows,
+             comparison),
+        ):
+            new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
+            write(new, snp_ids, payload)
+            oracle(old, snp_ids, payload)
+            assert new.read_bytes() == old.read_bytes()
+            back_ids, masks = cio.read_report_rejections(new)
+            ref_ids, ref_masks = helpers.read_report_rejections_rows(new)
+            assert back_ids == ref_ids == tuple(snp_ids)
+            assert list(masks) == list(ref_masks) == list(columns)
+            for label, (_, _, rejected) in columns.items():
+                assert bool_list(masks[label], ref_masks[label])
+                assert masks[label] == rejected.tolist()
+
+
 class TestColumnarCodec:
     @settings(max_examples=60, deadline=None)
     @given(panel=panels())
     def test_zpanel_matches_row_oracle_and_roundtrips(self, panel):
-        with tempfile.TemporaryDirectory() as tmp:
-            new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
-            cio.write_zpanel(panel, new)
-            helpers.write_zpanel_rows(panel, old)
-            assert new.read_bytes() == old.read_bytes()
-            back, ref = cio.read_zpanel(new), helpers.read_zpanel_rows(new)
-        assert back.snp_ids == ref.snp_ids == panel.snp_ids
-        assert back.study_ids == ref.study_ids == panel.study_ids
-        assert exact(back.z, ref.z)
-        assert back.z.tobytes() == panel.z.tobytes()
+        zpanel_codec_case(panel)
 
     @settings(max_examples=60, deadline=None)
     @given(truth_and_ids=truths())
     def test_truth_matches_row_oracle_and_roundtrips(self, truth_and_ids):
-        truth, study_ids = truth_and_ids
-        with tempfile.TemporaryDirectory() as tmp:
-            new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
-            cio.write_truth(truth, study_ids, new)
-            helpers.write_truth_rows(truth, study_ids, old)
-            assert new.read_bytes() == old.read_bytes()
-            (snp_ids, statuses), (ref, ref_ids) = cio.read_truth(new), helpers.read_truth_rows(new)
-        assert ref_ids == study_ids
-        assert snp_ids == ref.snp_ids == truth.snp_ids
-        assert int_lists(statuses, truth.statuses)
-        if truth.n_snps:  # the row oracle cannot shape an empty body
-            assert int_lists(statuses, ref.statuses)
-        for name in ("statuses", "theta", "maf"):
-            assert getattr(ref, name).tobytes() == getattr(truth, name).tobytes()
+        truth_codec_case(truth_and_ids)
 
     @settings(max_examples=60, deadline=None)
     @given(ids_and_columns=report_columns())
     def test_reports_match_row_oracles_and_roundtrip(self, ids_and_columns):
-        snp_ids, columns = ids_and_columns
-        reports = {
-            label: DiscoveryReport(None, 0.05, lf, fdr, 0.0, rej)
-            for label, (lf, fdr, rej) in columns.items()
-        }
-        comparison = {
-            label: {"p": p, "p_adjusted": adj, "rejected": rej}
-            for label, (p, adj, rej) in columns.items()
-        }
-        with tempfile.TemporaryDirectory() as tmp:
-            for write, oracle, payload in (
-                (cio.write_analysis_report, helpers.write_analysis_report_rows, reports),
-                (cio.write_comparison_report, helpers.write_comparison_report_rows,
-                 comparison),
-            ):
-                new, old = Path(tmp, "new.tsv"), Path(tmp, "old.tsv")
-                write(new, snp_ids, payload)
-                oracle(old, snp_ids, payload)
-                assert new.read_bytes() == old.read_bytes()
-                back_ids, masks = cio.read_report_rejections(new)
-                ref_ids, ref_masks = helpers.read_report_rejections_rows(new)
-                assert back_ids == ref_ids == tuple(snp_ids)
-                assert list(masks) == list(ref_masks) == list(columns)
-                for label, (_, _, rejected) in columns.items():
-                    assert bool_list(masks[label], ref_masks[label])
-                    assert masks[label] == rejected.tolist()
+        report_codec_case(ids_and_columns)
 
 
 def base_files(tmp_path):
@@ -491,3 +510,133 @@ class TestTruthStatuses:
         inject(path, 5, "status", 4, "1.0")
         message = f"{path}: line 5: column 'h_s2': '1.0' is not -1, 0 or +1"
         assert outcome(helpers.read_truth_rows, path) == outcome(cio.read_truth, path) == message
+
+
+# The round-trips and fault tables again with the smallest blocks: one line per
+# read block and one row per write block, so every data line is read in a block
+# of its own and its fault is numbered across the blocks before it.
+
+@pytest.fixture(scope="class")
+def one_line_blocks():
+    with mock.patch.multiple(cio, _READ_BLOCK=1, _WRITE_BLOCK=1):
+        yield
+
+
+@pytest.mark.usefixtures("one_line_blocks")
+class TestColumnarCodecInOneLineBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels())
+    def test_zpanel_matches_row_oracle_and_roundtrips(self, panel):
+        zpanel_codec_case(panel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(truth_and_ids=truths())
+    def test_truth_matches_row_oracle_and_roundtrips(self, truth_and_ids):
+        truth_codec_case(truth_and_ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids_and_columns=report_columns())
+    def test_reports_match_row_oracles_and_roundtrip(self, ids_and_columns):
+        report_codec_case(ids_and_columns)
+
+
+@pytest.mark.usefixtures("one_line_blocks")
+class TestErrorParityInOneLineBlocks(TestErrorParity):
+    def test_blocks_hold_one_line(self):
+        assert (cio._READ_BLOCK, cio._WRITE_BLOCK) == (1, 1)
+
+
+def large_files(tmp_path, m=4000):
+    """A zpanel, truth and report file of m data lines, each past the first read block."""
+    rng = np.random.default_rng(5)
+    ids = tuple(f"rs{j}" for j in range(m))
+    zpanel, truth, report = (tmp_path / n for n in ("z.tsv", "truth.tsv", "rep.tsv"))
+    cio.write_zpanel(ZPanel(ids, ("a", "b", "c"), rng.normal(size=(3, m))), zpanel)
+    statuses = rng.integers(-1, 2, size=(2, m)).astype(np.int8)
+    cio.write_truth(TruthPanel(ids, statuses, statuses * 0.3, np.full((2, m), 0.2)),
+                    ("s1", "s2"), truth)
+    cio.write_comparison_report(report, ids, {
+        label: {"p": rng.uniform(size=m), "p_adjusted": rng.uniform(size=m),
+                "rejected": rng.uniform(size=m) < 0.1}
+        for label in ("nr", "na")
+    })
+    files = {"zpanel": zpanel, "truth": truth, "report": report}
+    assert all(path.stat().st_size > 2 * cio._READ_BLOCK for path in files.values())
+    return files
+
+
+class TestLaterBlocks:
+    @pytest.mark.parametrize("lineno", [3000, 4001], ids=["middle", "last"])
+    @pytest.mark.parametrize("reader,fault,column,token", FAULTS)
+    def test_message_matches_row_oracle(self, tmp_path, reader, fault, column, token,
+                                        lineno):
+        path = large_files(tmp_path)[reader]
+        inject(path, lineno, fault, column, token)
+        new, oracle = READERS[reader]
+        message = outcome(new, path)
+        assert message is not None and f": line {lineno}: " in message
+        assert message == outcome(oracle, path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bytes_that_are_not_text_close_the_file(self, tmp_path, reader):
+        path = large_files(tmp_path)[reader]
+        lines = path.read_bytes().split(b"\n")
+        lines[3000] = b"\xff\xfe" + lines[3000]
+        path.write_bytes(b"\n".join(lines))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            message = outcome(READERS[reader][0], path)
+            gc.collect()
+        assert message.startswith(f"{path}: not a text file: ")
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# Traced peak (MiB) of each reader and writer on a many_studies-sized panel
+# (n = 7, M = 2 * 10^4) when every file was read whole and every table joined
+# into one string.
+WHOLE_FILE_PEAK_MB = {
+    "read_zpanel": 18.3, "read_truth": 22.6, "read_report_rejections": 9.3,
+    "write_zpanel": 11.1, "write_truth": 17.8,
+}
+
+
+@pytest.fixture(scope="module")
+def many_studies_panel():
+    n, m = 7, 20_000
+    rng = np.random.default_rng(11)
+    ids = tuple(f"rs{j}" for j in range(m))
+    panel = ZPanel(ids, tuple(f"s{i + 1}" for i in range(n)), rng.normal(size=(n, m)))
+    statuses = np.where(rng.uniform(size=(n, m)) < 0.9, 0,
+                        rng.choice([-1, 1], size=(n, m))).astype(np.int8)
+    truth = TruthPanel(ids, statuses, statuses * rng.uniform(0.25, 0.5, size=(n, m)),
+                       rng.uniform(0.05, 0.5, size=(n, m)))
+    reports = {label: DiscoveryReport(None, 0.05, rng.uniform(size=m), rng.uniform(size=m),
+                                      0.0, rng.uniform(size=m) < 0.1)
+               for label in ("nr", "na")}
+    return panel, truth, reports
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_readers_and_writers_peak_below_half_the_whole_file_codec(tmp_path,
+                                                                  many_studies_panel):
+    panel, truth, reports = many_studies_panel
+    zpanel, truth_tsv, report = tmp_path / "z.tsv", tmp_path / "t.tsv", tmp_path / "r.tsv"
+    cio.write_analysis_report(report, panel.snp_ids, reports)
+    calls = {
+        "write_zpanel": lambda: cio.write_zpanel(panel, zpanel),
+        "write_truth": lambda: cio.write_truth(truth, panel.study_ids, truth_tsv),
+        "read_zpanel": lambda: cio.read_zpanel(zpanel),
+        "read_truth": lambda: cio.read_truth(truth_tsv),
+        "read_report_rejections": lambda: cio.read_report_rejections(report),
+    }
+    peaks = {name: traced_peak_mb(call) for name, call in calls.items()}
+    assert {name: peaks[name] < 0.5 * mb for name, mb in WHOLE_FILE_PEAK_MB.items()} == {
+        name: True for name in WHOLE_FILE_PEAK_MB}, peaks
