@@ -9,7 +9,6 @@ arrays are built, so reading flags and statuses (all evaluate does) needs none.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -73,6 +72,7 @@ def read_json(path):
 
 
 def sha256_file(path) -> str:
+    import hashlib  # loads OpenSSL, which only digests need
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -197,7 +197,7 @@ def read_zpanel(path) -> ZPanel:
     header, (snp_ids, *z) = _read_table(path, _zpanel_cells)
     if not snp_ids:
         raise DataError(f"{path}: no data rows")
-    return ZPanel(tuple(snp_ids), tuple(header[1:]), z)
+    return ZPanel(snp_ids, tuple(header[1:]), z)
 
 
 def write_zpanel(panel: ZPanel, path) -> None:

@@ -11,6 +11,7 @@ Rejections use the Benjamini-Hochberg step-up rule.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import erfc, lgamma
 
 import numpy as np
@@ -19,6 +20,7 @@ from .configspace import checked_u
 from .errors import DataError, fdr_level
 
 P_FLOOR = 1e-300
+BLOCK = 1 << 16  # features per block of partial-conjunction p-values
 
 
 def _checked(p) -> np.ndarray:
@@ -41,7 +43,20 @@ def _even_chi2_tail(k: int, y: np.ndarray) -> np.ndarray:
         log_terms = np.arange(1, k)[:, None] * np.log(y) - log_factorials
     top = log_terms.max(axis=0, initial=0.0)
     log_terms -= top
-    return np.exp(top - y + np.log(np.exp(-top) + np.exp(log_terms, out=log_terms).sum(axis=0)))
+    terms = reduce(np.add, np.exp(log_terms, out=log_terms), 0.0)  # row by row, as in the caller
+    return np.exp(top - y + np.log(np.exp(-top) + terms))
+
+
+def _zero_strongest(log_tail: np.ndarray, u: int) -> None:
+    """Zero, not subtract, each column's u - 1 most negative: the rest sum as on their own."""
+    if u == 2:  # a unique minimum is any selection's pick; a tied or NaN one takes argpartition's
+        strongest = log_tail == log_tail.min(axis=0)
+        cols = np.nonzero(np.count_nonzero(strongest, axis=0) != 1)[0]
+        strongest[:, cols] = False
+        strongest[np.argpartition(log_tail[:, cols], 0, axis=0)[0], cols] = True
+        np.putmask(log_tail, strongest, 0.0)
+    elif u > 2:
+        np.put_along_axis(log_tail, np.argpartition(log_tail, u - 2, axis=0)[: u - 1], 0.0, axis=0)
 
 
 def partial_conjunction_pvalues(z_panel, us) -> list[np.ndarray]:
@@ -49,28 +64,29 @@ def partial_conjunction_pvalues(z_panel, us) -> list[np.ndarray]:
 
     Each value's smaller normal tail Phi(-|z|) = erfc(|z| / sqrt 2) / 2 is
     taken once for all u; a side's log tail is its log, floored at
-    log(1e-300), or log1p of its complement, by the sign of z. The
-    study-major copy sums over studies in one order for any memory layout.
+    log(1e-300), or log1p of its complement, by the sign of z. Sums over
+    studies go row by row: numpy would sum a lone column pairwise, so neither
+    the memory layout nor a block's width changes a bit. Blocks of BLOCK
+    features bound the temporaries.
     """
-    z = np.ascontiguousarray(np.atleast_2d(np.asarray(z_panel, dtype=float)))
-    n = z.shape[0]
+    z_all = np.atleast_2d(np.asarray(z_panel, dtype=float))
+    n, m = z_all.shape
     us = [checked_u(u, n) for u in us]
-    scaled = memoryview((np.abs(z) / np.sqrt(2.0)).ravel())  # yields Python floats, no copy
-    small = 0.5 * np.fromiter(map(erfc, scaled), float, z.size).reshape(z.shape)
-    del scaled  # frees an n x M array before the two logs
-    far = np.log1p(-small)
-    near = np.log(np.maximum(small, P_FLOOR, out=small), out=small)
-    pvalues = []
-    for u in us:
-        sides = []
-        # left then right log tails, one n x M array at a time
-        for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
-            if u > 1:
-                # zero, not subtract, the u - 1 most negative: the rest sum as on their own
-                strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
-                np.put_along_axis(log_tail, strongest, 0.0, axis=0)
-            sides.append(_even_chi2_tail(n - u + 1, -log_tail.sum(axis=0)))
-        pvalues.append(np.minimum(1.0, 2.0 * np.minimum(*sides)))
+    pvalues = [np.empty(m) for _ in us]
+    for lo in range(0, m, BLOCK):
+        z = z_all[:, lo : lo + BLOCK]
+        scaled = memoryview((np.abs(z) / np.sqrt(2.0)).ravel())  # yields Python floats, no copy
+        small = 0.5 * np.fromiter(map(erfc, scaled), float, z.size).reshape(z.shape)
+        del scaled  # frees an n x BLOCK array before the two logs
+        far = np.log1p(-small)
+        near = np.log(np.maximum(small, P_FLOOR, out=small), out=small)
+        for u, out in zip(us, pvalues):
+            sides = []
+            # left then right log tails, one n x BLOCK array at a time
+            for log_tail in (np.where(z < 0, a, b) for a, b in ((near, far), (far, near))):
+                _zero_strongest(log_tail, u)
+                sides.append(_even_chi2_tail(n - u + 1, -reduce(np.add, log_tail)))
+            np.minimum(1.0, 2.0 * np.minimum(*sides), out=out[lo : lo + BLOCK])
     return pvalues
 
 
@@ -109,7 +125,7 @@ def bh_adjust(p) -> np.ndarray:
     """BH-adjusted p-values: running minimum from the top of M * p_(k) / k."""
     values = _checked(p)
     m = values.size
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)  # ties all take the value at their last rank
     scaled = values[order] * m / np.arange(1, m + 1)
     adjusted_sorted = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     adjusted = np.empty(m)

@@ -282,7 +282,7 @@ def _direction(like: SignSparse, w: np.ndarray) -> np.ndarray:
 def _collapsed_likelihood(bin_index, cond) -> CollapsedLikelihood:
     combos, inverse, counts = _collapse_bins(bin_index)
     like = _sign_sparse(cond, combos)
-    return CollapsedLikelihood(bin_index.copy(), combos, inverse, counts, like)
+    return CollapsedLikelihood(bin_index, combos, inverse, counts, like)
 
 
 def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:
@@ -372,7 +372,7 @@ def local_fdr_panel(binned: BinnedPanel, model: ConfigModel, null_set: Hypothesi
     if null_set.n != model.n_studies or binned.n_studies != model.n_studies:
         raise DataError("panel, model and hypothesis set disagree on study count")
     collapsed = model.likelihood
-    if collapsed is None or not np.array_equal(collapsed.bin_index, binned.bin_index):
+    if collapsed is None or collapsed.bin_index is not binned.bin_index:
         collapsed = _collapsed_likelihood(binned.bin_index, model.conditionals)
     # one contraction for both, so a feature with no non-null likelihood gets exactly 1
     null_pi = model.pi * np.isin(np.arange(model.pi.size), null_set.members)
@@ -420,7 +420,9 @@ def fdr_report(
     lf = np.minimum(lf, 1.0)
     m = lf.size
 
-    order = np.lexsort((np.arange(m), lf))
+    # tied values are bitwise equal but for +-0: zeros keep input order, as t_hat's sign reads it
+    order = np.argsort(lf)
+    order[: np.count_nonzero(lf == 0.0)].sort()
     lf_sorted = lf[order]
     # rounding can dip a running mean over near-tied values; keep it non-decreasing
     running = np.maximum.accumulate(np.cumsum(lf_sorted) / np.arange(1, m + 1))

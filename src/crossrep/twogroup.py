@@ -84,6 +84,9 @@ class BinnedPanel:
     widths: np.ndarray     # (n,)
     bin_index: np.ndarray  # (n, M), 0-based
 
+    def __post_init__(self):
+        self.bin_index.setflags(write=False)  # a fit's likelihood is reused while it is this array
+
     @property
     def n_studies(self) -> int:
         return self.edges.shape[0]

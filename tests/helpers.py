@@ -7,6 +7,7 @@ import warnings
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import chi2, norm
 
@@ -255,6 +256,50 @@ def mpmath_partial_conjunction_pvalue(z, u, dps=50):
 
 def no_replicability_pvalue(z):
     return partial_conjunction_pvalue(z, 2)
+
+
+# values in [0, 1] with many exact ties: all equal, few distinct (with +0 and -0), rounded
+TIED_UNIT_VALUES = st.one_of(
+    st.builds(lambda v, k: [v] * k, st.sampled_from([0.0, -0.0, 0.05, 1.0]) | st.floats(0.0, 1.0),
+              st.integers(1, 600)),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.01, 0.05, 0.5, 1.0]), min_size=1, max_size=600),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=600),
+    st.lists(st.floats(0.0, 1.0).map(lambda x: round(x, 2)), min_size=1, max_size=600),
+)
+
+
+def stable_bh_adjust(p):
+    """BH-adjusted p-values ranked by a stable sort, ties in input order."""
+    values = np.asarray(p, dtype=float)
+    m = values.size
+    order = np.argsort(values, kind="stable")
+    scaled = values[order] * m / np.arange(1, m + 1)
+    adjusted = np.empty(m)
+    adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
+    return adjusted
+
+
+def lexsort_fdr_report(lf, q):
+    """(fdr_estimate, t_hat, rejected) of multistudy.fdr_report, ranked by lexsort
+    on (local FDR, index): every tie group in input order."""
+    lf = np.minimum(np.asarray(lf, dtype=float), 1.0)
+    m = lf.size
+    order = np.lexsort((np.arange(m), lf))
+    lf_sorted = lf[order]
+    running = np.maximum.accumulate(np.cumsum(lf_sorted) / np.arange(1, m + 1))
+    fdr_sorted = running[np.searchsorted(lf_sorted, lf_sorted, side="right") - 1]
+    feasible = np.nonzero(fdr_sorted <= q)[0]
+    t_hat = float(lf_sorted[feasible[-1]]) if feasible.size else 0.0
+    fdr_estimate = np.empty(m)
+    fdr_estimate[order] = fdr_sorted
+    rejected = lf <= t_hat if feasible.size else np.zeros(m, dtype=bool)
+    return fdr_estimate, t_hat, rejected
+
+
+def argpartition_zero_strongest(log_tail, u):
+    """Zero each column's u - 1 smallest in place at the indices argpartition takes."""
+    strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
+    np.put_along_axis(log_tail, strongest, 0.0, axis=0)
 
 
 def fisher_combine(p):

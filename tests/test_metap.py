@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, norm
 
@@ -13,14 +15,18 @@ from crossrep import (
     no_association_pvalues,
     no_replicability_pvalues,
 )
+from crossrep import metap
 from crossrep.metap import partial_conjunction_pvalues
 from helpers import (
+    TIED_UNIT_VALUES,
+    argpartition_zero_strongest,
     concordant_meta_pvalue,
     fisher_combine,
     mpmath_partial_conjunction_pvalue,
     no_association_pvalue,
     no_replicability_pvalue,
     partial_conjunction_pvalue,
+    stable_bh_adjust,
 )
 
 
@@ -203,6 +209,59 @@ class TestBothNulls:
             assert np.mean(p <= t) <= t + slack
 
 
+class TestBlocks:
+    @staticmethod
+    def tied_panel(rng, n, m):
+        """Rounded z with repeated rows, equal |z| across studies, +-0 and NaN."""
+        z = np.round(rng.normal(scale=2.0, size=(n, m)) + rng.choice([-3.0, 0.0, 3.0], (n, m)))
+        z[:, : m // 8] = z[0, : m // 8]
+        z[:, m // 8 : m // 4] = np.abs(z[0, m // 8 : m // 4]) * rng.choice([-1.0, 1.0], (n, m // 8))
+        z[:, -6:] = [[0.0], [-0.0]] * (n // 2) + [[0.0]] * (n % 2)
+        z[rng.integers(0, n, m // 20), rng.integers(0, m, m // 20)] = np.nan
+        return z
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_do_not_change_a_bit(self, monkeypatch, block):
+        rng = np.random.default_rng(40)
+        for n in [*range(1, 9), 12]:  # from 8 rows numpy would sum a lone column pairwise
+            z = self.tied_panel(rng, n, 64)
+            us = range(1, n + 1)
+            whole = partial_conjunction_pvalues(z, us)
+            assert all(np.isnan(p).any() and np.isfinite(p).any() for p in whole)
+            monkeypatch.setattr(metap, "BLOCK", block)
+            for panel in (z, np.asfortranarray(z)):
+                for got, want in zip(partial_conjunction_pvalues(panel, us), whole):
+                    assert got.tobytes() == want.tobytes()
+            monkeypatch.undo()
+
+    def test_u_2_zeroes_the_entry_argpartition_picks(self):
+        # x86-simd-sort's argpartition need not take the first of tied minima
+        rng = np.random.default_rng(41)
+        for n in range(2, 9):
+            z = self.tied_panel(rng, n, 4000)
+            for log_tail in (norm.logcdf(z), norm.logcdf(-z)):
+                tied = np.count_nonzero(log_tail == log_tail.min(axis=0), axis=0) > 1
+                assert tied.sum() > 500 and np.isnan(log_tail).any()
+                got, want = log_tail.copy(), log_tail.copy()
+                metap._zero_strongest(got, 2)
+                argpartition_zero_strongest(want, 2)
+                assert got.tobytes() == want.tobytes()
+
+    def test_temporaries_do_not_grow_with_the_panel(self, monkeypatch):
+        monkeypatch.setattr(metap, "BLOCK", 1024)
+        rng = np.random.default_rng(42)
+        held = {}
+        for m in (8 * 1024, 64 * 1024):
+            z = rng.normal(size=(3, m))
+            tracemalloc.start()
+            try:
+                partial_conjunction_pvalues(z, [1, 2])
+                held[m] = tracemalloc.get_traced_memory()[1] - 2 * 8 * m  # less the outputs
+            finally:
+                tracemalloc.stop()
+        assert held[64 * 1024] < held[8 * 1024] + 64 * 1024  # a 3 x M temporary is 1.5 MB
+
+
 class TestManyStudies:
     def test_150_studies_match_mpmath(self):
         # a plain forward sum of the Fisher tail's y^j / j! overflows from about 94 studies
@@ -255,6 +314,12 @@ class TestBhProcedure:
         order = np.argsort(p)
         assert np.all(np.diff(adj[order]) >= -1e-15)
         assert np.all(adj <= 1.0) and np.all(adj >= p - 1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=TIED_UNIT_VALUES)
+    def test_adjusted_pvalues_match_a_stable_sort_bit_for_bit(self, p):
+        got, want = bh_adjust(p), stable_bh_adjust(p)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_accepts_a_plain_sequence(self):
         assert bh_procedure([0.01, 0.2], 0.05).tolist() == [True, False]

@@ -27,12 +27,14 @@ from crossrep import (
 from helpers import (
     NA,
     NR,
+    TIED_UNIT_VALUES,
     analytic_conditionals,
     config_likelihood,
     dense_em,
     dense_local_fdr,
     gather_likelihood_matrix,
     grid,
+    lexsort_fdr_report,
     local_fdr_set,
     make_binned,
     run_empirical_bayes,
@@ -445,6 +447,13 @@ class TestCollapsedLikelihood:
         other = make_binned(rng.permutation(binned.bin_index, axis=1), b=8)
         local_fdr_panel(other, model, null_sets(3)[0])
         assert len(calls) == 2
+        # an equal but distinct panel is rebuilt, once, to the same bits
+        same = make_binned(binned.bin_index.copy(), b=8)
+        assert same.bin_index is not binned.bin_index and model.likelihood.bin_index is binned.bin_index
+        for ns in null_sets(3):
+            want = local_fdr_panel(binned, model, ns)
+            assert local_fdr_panel(same, model, ns).tobytes() == want.tobytes()
+        assert len(calls) == 2 + len(null_sets(3))
 
     def test_fit_and_reports_never_allocate_the_full_likelihood(self):
         rng = np.random.default_rng(8)
@@ -636,6 +645,16 @@ class TestFdrReport:
         assert shuffled.t_hat == report.t_hat
         assert np.array_equal(shuffled.fdr_estimate, est[perm])
         assert np.array_equal(shuffled.rejected, report.rejected[perm])
+
+    @settings(max_examples=300, deadline=None)
+    @given(lf=TIED_UNIT_VALUES, q=st.sampled_from([0.01, 0.05, 0.5]))
+    @example(lf=[1.0, 1.0, 0.0, -0.0], q=0.05)  # t_hat is the zero last in input order
+    def test_ties_match_a_lexsort_ranking_bit_for_bit(self, lf, q):
+        report = fdr_report(lf, q)
+        estimate, t_hat, rejected = lexsort_fdr_report(lf, q)
+        assert report.fdr_estimate.view(np.uint64).tolist() == estimate.view(np.uint64).tolist()
+        assert np.float64(report.t_hat).view(np.uint64) == np.float64(t_hat).view(np.uint64)
+        assert report.rejected.tolist() == rejected.tolist()
 
     def test_q_validation(self):
         with pytest.raises(ConfigError):

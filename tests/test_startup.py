@@ -10,7 +10,8 @@ math module. numpy is loaded only by the commands that compute with arrays:
 a fresh `import crossrep.cli` with its parser built, `--help`, a flag
 rejected while parsing and the whole evaluate command, which scores flags
 against statuses in plain Python, never load it. These tests keep scipy
-out of a fresh `import crossrep.cli` and out of all four commands, keep
+and OpenSSL's `_hashlib` (loaded only to digest a file) out of a fresh
+`import crossrep.cli`, keep scipy out of all four commands, keep
 numpy out of the parser and evaluate, tie evaluate's scorer to
 sim.evaluate, check each scipy.special stand-in and literal bit for bit
 against scipy, and hold the meta-analysis p-values to their accuracy
@@ -81,7 +82,7 @@ def fresh_python(code: str) -> str:
     return result.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["numpy", "scipy", "scipy.stats", "scipy.special"])
+@pytest.mark.parametrize("module", ["numpy", "scipy", "scipy.stats", "scipy.special", "_hashlib"])
 def test_importing_the_cli_does_not_load(module):
     code = (
         "import sys, crossrep, crossrep.cli; crossrep.cli.build_parser()\n"

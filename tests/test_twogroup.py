@@ -78,6 +78,13 @@ class TestBinning:
             assert binned.edges[i, -1] > panel.z[i].max()
             assert np.all(np.diff(binned.edges[i]) > 0)
 
+    def test_bin_index_is_read_only(self):
+        # a fit's likelihood is reused for the very array it was built from
+        binned = bin_panel(make_panel(np.random.default_rng(1).normal(size=(2, 50))), 10)
+        for panel in (binned, binned.select_studies([1])):
+            with pytest.raises(ValueError, match="read-only"):
+                panel.bin_index[0, 0] = 1
+
     def test_boundary_goes_to_lower_bin(self):
         edges = np.array([0.0, 1.0, 2.0, 3.0])
         assert assign_bins(np.array([1.0]), edges)[0] == 0
