@@ -25,11 +25,11 @@ _EXPORTS = {
     " ModelError SizeLimitError StudyExcludedError",
     "twogroup": "BinnedPanel TwoGroupFit ZPanel alternative_density bin_panel estimate_pi0"
     " estimate_marginal_density fit_panel fit_study local_fdr_single null_bin_density",
-    "multistudy": "ConditionalBinDensities ConfigModel DiscoveryReport build_conditionals em_fit"
-    " fdr_report local_fdr_panel posterior",
+    "multistudy": "Analysis ConditionalBinDensities ConfigModel DiscoveryReport analyze"
+    " build_conditionals em_fit fdr_report local_fdr_panel posterior",
     "metap": "bh_adjust bh_procedure no_association_pvalues no_replicability_pvalues",
-    "sim": "SimDesign SimMetrics TruthPanel default_design draw_truth evaluate pearson_statistic"
-    " simulate_panel simulate_study z_from_tables z_from_tables_contingency",
+    "sim": "SimDesign SimMetrics TruthPanel default_design draw_truth evaluate simulate_panel"
+    " simulate_study z_from_tables z_from_tables_contingency",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli", "io"}

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import io
 from .errors import (DEFAULT_BIN_COUNT, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError,
-                     CrossrepError, DataError, ModelError, bin_count, em_iterations,
-                     em_tolerance, fdr_level)
+                     CrossrepError, DataError, bin_count, em_iterations, em_tolerance, fdr_level)
 
 # Hypothesis label -> u: its null holds while fewer than u studies share a sign.
 _HYP_LABELS = {"na": 1, "nr": 2}
@@ -55,35 +54,18 @@ def _write_record(out: Path, args, inputs: dict, notes: list[str]):
 
 def cmd_analyze(args, out: Path) -> dict:
     from . import multistudy, twogroup
-    from .configspace import null_subset
-    nulls = _nulls(args.hypothesis)
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
     fits = twogroup.fit_panel(panel, binned)
-    # written before the qualifying-study check, so a run that exits 4 keeps the exclusion reasons
+    # written before analyze counts the qualifying studies: a run that exits 4 keeps the reasons
     io.write_json(out / "fits.json", io.fits_payload(fits, binned))
-    included = [i for i, fit in enumerate(fits) if fit.qualifies]
     excluded = {fit.study_id: fit.exclusion_reason for fit in fits if not fit.qualifies}
     for sid, reason in excluded.items():
         print(f"excluding study {sid}: {reason}", file=sys.stderr)
-    for label, u in nulls.items():
-        if len(included) < u:
-            raise ModelError(f"the {label} analysis needs at least u = {u} qualifying studies,"
-                             f" got {len(included)}")
-    sub_binned = binned.select_studies(included)
-    cond = multistudy.build_conditionals([fits[i] for i in included], sub_binned)
-    model = multistudy.em_fit(
-        sub_binned,
-        cond,
-        tol=args.em_tol,
-        max_iter=args.em_max_iter,
-        snp_ids=panel.snp_ids,
+    included, model, reports = multistudy.analyze(
+        binned, fits, _nulls(args.hypothesis), args.q,
+        tol=args.em_tol, max_iter=args.em_max_iter, snp_ids=panel.snp_ids,
     )
-    reports = {}
-    for label, u in nulls.items():
-        null_set = null_subset(u, len(included))
-        lf = multistudy.local_fdr_panel(sub_binned, model, null_set, panel.snp_ids)
-        reports[label] = multistudy.fdr_report(lf, args.q, null_set)
     payload = io.model_payload(model, [panel.study_ids[i] for i in included])
     payload["excluded_studies"] = excluded
     payload["thresholds"] = {

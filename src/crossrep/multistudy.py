@@ -6,7 +6,7 @@ status configurations. The weights are fit by EM on the composite
 likelihood, the product over features of their marginal mixture
 likelihoods. Posterior configuration probabilities then give a local
 Bayes FDR for any null subset, and a running-mean estimate converts local
-values into the level-q rejection rule.
+values into the level-q rejection rule; analyze runs the whole pipeline.
 
 The signed densities are truncated to their half-lines, so a feature's
 likelihood is zero on all but 2**n of the 3**n configurations; EM,
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import HypothesisSet, enumerate_configurations
+from .configspace import HypothesisSet, enumerate_configurations, null_subset
 from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, DataError, DegenerateAlternativeError,
                      ModelError, em_iterations, em_tolerance, fdr_level)
 from .twogroup import BinnedPanel, TwoGroupFit, null_bin_density
@@ -447,3 +447,30 @@ def fdr_report(
         t_hat=t_hat,
         rejected=rejected,
     )
+
+
+# The qualifying studies' indices, the model fit on them, a DiscoveryReport per null label
+Analysis = namedtuple("Analysis", "included model reports")
+
+
+def analyze(binned: BinnedPanel, fits: list[TwoGroupFit], nulls: dict, q: float,
+            tol: float = EM_DEFAULT_TOL, max_iter: int = EM_DEFAULT_MAX_ITER,
+            snp_ids=None) -> Analysis:
+    """Drop the studies whose fit does not qualify, fit the rest by EM, and report each
+    label -> u of nulls at level q. A u above the qualifying count is a ModelError, raised
+    before EM runs."""
+    included = [i for i, fit in enumerate(fits) if fit.qualifies]
+    for label, u in nulls.items():
+        if len(included) < u:
+            raise ModelError(f"the {label} analysis needs at least u = {u} qualifying studies,"
+                             f" got {len(included)}")
+    sub = binned.select_studies(included)
+    cond = build_conditionals([fits[i] for i in included], sub)
+    # panel by position, options by keyword: a timer re-runs em_fit(*args, **{**kwargs, ...})
+    model = em_fit(sub, cond, tol=tol, max_iter=max_iter, snp_ids=snp_ids)
+    reports = {}
+    for label, u in nulls.items():
+        null_set = null_subset(u, len(included))
+        lf = local_fdr_panel(sub, model, null_set, snp_ids)
+        reports[label] = fdr_report(lf, q, null_set)
+    return Analysis(included, model, reports)

@@ -295,13 +295,6 @@ def z_from_tables(tables: np.ndarray) -> np.ndarray:
     return z[0] if squeeze else z
 
 
-def pearson_statistic(tables: np.ndarray) -> np.ndarray:
-    """Pearson chi-square statistic (2 df) for a stack of 2x3 tables."""
-    *margins, squeeze = _margins(tables)
-    stat = _pearson(*margins)
-    return stat[0] if squeeze else stat
-
-
 # Cephes ndtri coefficients, as scipy.special carries them
 _NDTRI_S2PI = 2.50662827463100050242e0
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,

@@ -19,31 +19,29 @@ NR = 2
 NA = 1
 
 
-def run_empirical_bayes(panel, q=0.05, bins=50, exclusion=None):
+def run_empirical_bayes(panel, q=0.05, bins=50):
     """Fit, exclude, model and report both nulls for a z panel.
 
     Returns (reports, included, model) where reports maps "nr"/"na" to a
     DiscoveryReport; "nr" is absent when fewer than two studies qualify and
     both are absent when none does.
     """
-    kwargs = {} if exclusion is None else {"exclusion_threshold": exclusion}
     binned = cr.bin_panel(panel, bins)
-    fits = cr.fit_panel(panel, binned, **kwargs)
-    included = [i for i, fit in enumerate(fits) if fit.qualifies]
-    reports = {}
-    if not included:
-        return reports, included, None
-    sub_binned = binned.select_studies(included)
-    cond = cr.build_conditionals([fits[i] for i in included], sub_binned)
-    model = cr.em_fit(sub_binned, cond, snp_ids=panel.snp_ids)
-    todo = [("na", NA)]
-    if len(included) >= 2:
-        todo.insert(0, ("nr", NR))
-    for label, u in todo:
-        null_set = cr.null_subset(u, len(included))
-        lf = cr.local_fdr_panel(sub_binned, model, null_set, panel.snp_ids)
-        reports[label] = cr.fdr_report(lf, q, null_set)
+    fits = cr.fit_panel(panel, binned)
+    qualifying = sum(fit.qualifies for fit in fits)
+    if not qualifying:
+        return {}, [], None
+    nulls = {label: u for label, u in (("nr", NR), ("na", NA)) if u <= qualifying}
+    included, model, reports = cr.analyze(binned, fits, nulls, q, snp_ids=panel.snp_ids)
     return reports, included, model
+
+
+def flat_study_panel():
+    """Two studies of 3000 features: "ok" has a signal, "flat" is too narrow to qualify."""
+    rng = np.random.default_rng(0)
+    ok = np.concatenate([rng.normal(size=2700), rng.normal(3, 1, size=300)])
+    z = np.vstack([ok, rng.uniform(-0.3, 0.3, size=3000)])
+    return cr.ZPanel(tuple(f"rs{j}" for j in range(3000)), ("ok", "flat"), z)
 
 
 def run_table3_rep(n_snps, seed, q=0.05, bins=50):
@@ -325,7 +323,7 @@ def three_sum_pearson_statistic(tables):
 
     Row, column and grand totals are three sums over the float tables, and
     the statistic is one sum over all six cells: the reference whose bits
-    sim.pearson_statistic keeps.
+    sim._pearson keeps.
     """
     t = np.asarray(tables, dtype=float)
     row = t.sum(axis=2, keepdims=True)

@@ -10,7 +10,7 @@ import crossrep.io as cio
 from crossrep import ZPanel, no_association_pvalues, simulate_panel, twogroup
 from crossrep.cli import build_parser, main
 from crossrep.io import read_zpanel, write_zpanel
-from helpers import concordant_design
+from helpers import concordant_design, flat_study_panel
 
 
 def run(argv):
@@ -99,13 +99,7 @@ class TestFit:
         assert all(s["qualifies"] for s in payload["studies"])
 
     def test_pure_null_study_is_excluded(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        ok = np.concatenate([rng.normal(size=2700), rng.normal(3, 1, size=300)])
-        z = np.vstack([ok, rng.uniform(-0.3, 0.3, size=3000)])
-        panel = ZPanel(
-            tuple(f"rs{j}" for j in range(3000)), ("ok", "flat"), z
-        )
-        write_zpanel(panel, tmp_path / "panel.tsv")
+        write_zpanel(flat_study_panel(), tmp_path / "panel.tsv")
         for hypothesis, exit_code in (("na", 0), ("both", 4)):
             out = tmp_path / hypothesis
             code = run(["analyze", "--input", tmp_path / "panel.tsv", "--out-dir", out,

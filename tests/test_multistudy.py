@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     config_likelihood,
     dense_em,
     dense_local_fdr,
+    flat_study_panel,
     gather_likelihood_matrix,
     grid,
     lexsort_fdr_report,
@@ -576,6 +578,99 @@ class TestModelInvariances:
         assert set(lf) == set(lf_flipped) and "na" in lf
         for label in lf:
             assert_allclose(lf_flipped[label], lf[label], rtol=0, atol=1e-9)
+
+
+def panel_with_a_flat_study(m=4000, seed=3):
+    """A simulated three-study panel whose middle study is replaced by one that cannot qualify."""
+    panel, _ = cr.simulate_panel(cr.default_design(m, seed=seed))
+    z = panel.z.copy()
+    z[1] = np.random.default_rng(seed).uniform(-0.3, 0.3, size=m)
+    return cr.ZPanel(panel.snp_ids, panel.study_ids, z)
+
+
+def readme_library_code() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+class TestAnalyze:
+    def test_matches_the_hand_wired_pipeline_bit_for_bit(self):
+        panel = panel_with_a_flat_study()
+        binned = cr.bin_panel(panel, cr.twogroup.DEFAULT_BIN_COUNT)
+        fits = cr.fit_panel(panel, binned, cr.twogroup.DEFAULT_EXCLUSION_THRESHOLD)
+        included = [i for i, fit in enumerate(fits) if fit.qualifies]
+        assert included == [0, 2]
+        sub = binned.select_studies(included)
+        cond = build_conditionals([fits[i] for i in included], sub)
+        model = em_fit(sub, cond, snp_ids=panel.snp_ids)
+        reports = {}
+        for label, u in (("nr", NR), ("na", NA)):
+            null_set = cr.null_subset(u, len(included))
+            lf = local_fdr_panel(sub, model, null_set, panel.snp_ids)
+            reports[label] = fdr_report(lf, 0.05, null_set)
+
+        got = cr.analyze(binned, fits, {"nr": NR, "na": NA}, 0.05, snp_ids=panel.snp_ids)
+        assert got.included == included
+        for attr in ("pi", "em_trace"):
+            assert getattr(got.model, attr).tobytes() == getattr(model, attr).tobytes()
+        assert list(got.reports) == ["nr", "na"]
+        for label, report in reports.items():
+            for attr in ("local_fdr", "fdr_estimate", "rejected"):
+                assert getattr(got.reports[label], attr).tobytes() == getattr(report, attr).tobytes()
+            assert got.reports[label].hypothesis == report.hypothesis
+            assert got.reports[label].t_hat == report.t_hat
+
+    def test_too_few_qualifying_studies_is_refused_before_em(self, monkeypatch):
+        panel = flat_study_panel()
+        binned = cr.bin_panel(panel, 50)
+        fits = cr.fit_panel(panel, binned)
+
+        def no_em(*args, **kwargs):
+            raise AssertionError("EM ran")
+
+        monkeypatch.setattr(ms, "em_fit", no_em)
+        with pytest.raises(ModelError, match="the nr analysis needs at least u = 2 qualifying "
+                                             "studies, got 1"):
+            cr.analyze(binned, fits, {"nr": NR, "na": NA}, 0.05)
+
+    def test_em_fit_gets_the_panel_by_position_and_the_options_by_keyword(self, monkeypatch):
+        # an outside timer re-runs each em_fit call as em_fit(*args, **{**kwargs, "max_iter": 1})
+        calls = []
+
+        def recording_em_fit(*args, **kwargs):
+            calls.append((args, kwargs))
+            return em_fit(*args, **kwargs)
+
+        monkeypatch.setattr(ms, "em_fit", recording_em_fit)
+        panel = panel_with_a_flat_study(m=2000)
+        binned = cr.bin_panel(panel, 50)
+        cr.analyze(binned, cr.fit_panel(panel, binned), {"na": NA}, 0.05, tol=1e-7,
+                   max_iter=400, snp_ids=panel.snp_ids)
+        [(args, kwargs)] = calls
+        assert isinstance(args[0], cr.BinnedPanel) and args[0].n_studies == 2
+        assert kwargs == {"tol": 1e-7, "max_iter": 400, "snp_ids": panel.snp_ids}
+        with pytest.warns(UserWarning, match="EM did not converge in 1 iterations"):
+            assert em_fit(*args, **{**kwargs, "max_iter": 1}).n_iter == 1
+
+    def test_readme_library_example_runs(self, capsys):
+        code = readme_library_code()
+        namespace = {}
+        exec(code, namespace)
+        assert namespace["included"] == [0, 1, 2]
+        assert list(namespace["reports"]) == ["nr", "na"]
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["nr", "na"]
+
+        # the same calls on a panel where one study is excluded
+        *setup, calls = code.split("\n\n")
+        assert "panel, truth =" in setup[-1] and "nulls =" in setup[-1]
+        namespace = {"cr": cr, "panel": flat_study_panel(), "nulls": {"na": NA}}
+        exec(calls, namespace)
+        assert namespace["included"] == [0]
+        assert namespace["reports"]["na"].n_rejected > 0
+        namespace["nulls"] = {"nr": NR, "na": NA}
+        with pytest.raises(ModelError, match="the nr analysis needs at least u = 2"):
+            exec(calls, namespace)
 
 
 # local FDR vectors with many exact ties and values at 0 and 1

@@ -15,14 +15,21 @@ from crossrep import (
     draw_truth,
     evaluate,
     null_truth_mask,
-    pearson_statistic,
     simulate_panel,
     simulate_study,
     z_from_tables,
     z_from_tables_contingency,
 )
-from crossrep.sim import case_control_dose_probs, disease_prob_per_dose
+from crossrep.sim import _margins, _pearson, case_control_dose_probs, disease_prob_per_dose
 from helpers import NA, NR, three_sum_pearson_statistic, z_from_table
+
+
+def pearson_statistic(tables):
+    """Pearson chi-square (2 df) of one 2x3 table or a stack, as z_from_tables_contingency
+    computes it."""
+    *margins, squeeze = _margins(tables)
+    stat = _pearson(*margins)
+    return stat[0] if squeeze else stat
 
 
 class TestDesign:
