@@ -38,21 +38,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-# A run record's parameters are the parsed flags except these.
-_NOT_PARAMETERS = {"command", "func", "input", "out_dir", "design", "report", "truth"}
+# Each input file flag -> the name of its digest in the run record. The record's
+# parameters are the other parsed flags, except the command and its output directory.
+_INPUT_FILES = {"input": "zpanel", "design": "design", "report": "report", "truth": "truth"}
 
 
-def _write_record(out: Path, args, inputs: dict, notes: list[str]):
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-    record = io.run_record(args.command, params, inputs)
-    record["warnings"] += notes
-    io.write_json(out / f"{args.command}.run.json", record)
+def _write_record(out: Path, args, notes: list[str]):
+    flags = vars(args)
+    params = {k: v for k, v in flags.items()
+              if k not in {"command", "func", "out_dir", *_INPUT_FILES}}
+    inputs = {name: flags[flag] for flag, name in _INPUT_FILES.items() if flags.get(flag)}
+    io.write_json(out / f"{args.command}.run.json",
+                  io.run_record(args.command, params, inputs, notes))
 
 
-# Each command gets the parsed flags and the output directory, and returns
-# the input files to digest.
+# Each command gets the parsed flags and the output directory.
 
-def cmd_analyze(args, out: Path) -> dict:
+def cmd_analyze(args, out: Path) -> None:
     from . import multistudy, twogroup
     panel = io.read_zpanel(args.input)
     binned = twogroup.bin_panel(panel, args.bins)
@@ -66,20 +68,14 @@ def cmd_analyze(args, out: Path) -> dict:
         binned, fits, _nulls(args.hypothesis), args.q,
         tol=args.em_tol, max_iter=args.em_max_iter, snp_ids=panel.snp_ids,
     )
-    payload = io.model_payload(model, [panel.study_ids[i] for i in included])
-    payload["excluded_studies"] = excluded
-    payload["thresholds"] = {
-        label: {"t_hat": rep.t_hat, "n_rejected": rep.n_rejected}
-        for label, rep in reports.items()
-    }
-    io.write_json(out / "model.json", payload)
+    io.write_json(out / "model.json", io.model_payload(
+        model, [panel.study_ids[i] for i in included], excluded, reports))
     io.write_analysis_report(out / "report_eb.tsv", panel.snp_ids, reports)
     for label, rep in reports.items():
         print(f"{label}: rejected {rep.n_rejected} of {panel.n_snps} at q={args.q}")
-    return {"zpanel": args.input}
 
 
-def cmd_compare(args, out: Path) -> dict:
+def cmd_compare(args, out: Path) -> None:
     from . import metap
     nulls = _nulls(args.hypothesis)
     panel = io.read_zpanel(args.input)
@@ -91,10 +87,9 @@ def cmd_compare(args, out: Path) -> dict:
     io.write_comparison_report(out / "report_meta.tsv", panel.snp_ids, columns)
     for label, col in columns.items():
         print(f"{label}: rejected {int(col['rejected'].sum())} of {panel.n_snps}")
-    return {"zpanel": args.input}
 
 
-def cmd_simulate(args, out: Path) -> dict:
+def cmd_simulate(args, out: Path) -> None:
     import dataclasses
     from . import sim
     if args.design:
@@ -110,7 +105,6 @@ def cmd_simulate(args, out: Path) -> dict:
     io.write_truth(truth, panel.study_ids, out / "truth.tsv")
     io.write_json(out / "design.json", io.design_payload(design))
     print(f"simulated {design.n_snps} snps across {design.n_studies} studies")
-    return {"design": args.design} if args.design else {}
 
 
 def _scores(masks: dict, statuses: list[list[int]]) -> dict:
@@ -134,7 +128,7 @@ def _scores(masks: dict, statuses: list[list[int]]) -> dict:
     return metrics
 
 
-def cmd_evaluate(args, out: Path) -> dict:
+def cmd_evaluate(args, out: Path) -> None:
     snp_ids, masks = io.read_report_rejections(args.report)
     truth_ids, statuses = io.read_truth(args.truth)
     if snp_ids != truth_ids:
@@ -145,7 +139,6 @@ def cmd_evaluate(args, out: Path) -> dict:
     io.write_json(out / "metrics.json", metrics)
     for label, m in metrics.items():
         print(f"{label}: R={m['n_rejected']} FDP={m['fdp']:.4f} power={m['power']:.4f}")
-    return {"report": args.report, "truth": args.truth}
 
 
 def _add_level_flags(parser: argparse.ArgumentParser) -> None:
@@ -203,7 +196,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             out = _out_dir(args)
-            inputs = args.func(args, out)
+            args.func(args, out)
         except CrossrepError as exc:
             failure = exc
         else:
@@ -214,7 +207,7 @@ def main(argv=None) -> int:
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return failure.exit_code
-    _write_record(out, args, inputs, notes)
+    _write_record(out, args, notes)
     return 0
 
 

@@ -26,8 +26,7 @@ from .errors import ConfigError, SizeLimitError
 
 MAX_STUDIES = 8
 
-_STATUS_TO_CHAR = {-1: "-", 0: "0", 1: "+"}
-_CHAR_TO_STATUS = {"-": -1, "0": 0, "+": 1}
+_ALPHABET = "-0+"  # the characters of statuses -1, 0 and +1, in their order
 
 
 class HypothesisKind(IntEnum):
@@ -82,14 +81,19 @@ def _configurations(n: int) -> tuple[tuple[int, ...], ...]:
 
 def config_to_string(h) -> str:
     """Compact serialization over the alphabet {-, 0, +}, e.g. "-0+"."""
-    return "".join(_STATUS_TO_CHAR[s] for s in validate_configuration(h))
+    return "".join(_ALPHABET[s + 1] for s in validate_configuration(h))
 
 
 def config_from_string(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_CHAR_TO_STATUS[c] for c in text)
-    except KeyError as exc:
+        return tuple(_ALPHABET.index(c) - 1 for c in text)
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration string {text!r}") from exc
+
+
+def configuration_strings(n: int) -> list[str]:
+    """config_to_string of each of enumerate_configurations(n), in that order."""
+    return list(map("".join, itertools.product(_ALPHABET, repeat=_checked_study_count(n))))
 
 
 def null_truth_mask(statuses, u: int) -> np.ndarray:

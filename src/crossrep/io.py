@@ -15,7 +15,7 @@ import sys
 import tempfile
 from array import array
 from contextlib import contextmanager
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -222,16 +222,20 @@ def fits_payload(fits: list[TwoGroupFit], binned: BinnedPanel) -> dict:
     return {"bin_count": binned.bin_count, "studies": studies}
 
 
-def model_payload(model: ConfigModel, study_ids) -> dict:
+def model_payload(model: ConfigModel, study_ids, excluded: dict, reports: dict) -> dict:
+    """model.json's record; excluded maps a study id to its exclusion reason."""
+    from .configspace import configuration_strings
     return {
         "study_ids": list(study_ids),
-        # the lexicographic order of model.space
-        "configurations": list(map("".join, product("-0+", repeat=model.n_studies))),
+        "excluded_studies": dict(excluded),
+        "configurations": configuration_strings(model.n_studies),
         "pi": model.pi.tolist(),
         "em_trace": model.em_trace.tolist(),
         "converged": model.converged,
         "n_iter": model.n_iter,
         "em_gap": model.em_gap,
+        "thresholds": {label: {"t_hat": rep.t_hat, "n_rejected": rep.n_rejected}
+                       for label, rep in reports.items()},
     }
 
 
@@ -306,48 +310,34 @@ def read_truth(path) -> tuple[tuple, list[list[int]]]:
 
 
 def design_payload(design: SimDesign) -> dict:
+    from dataclasses import asdict
     from .configspace import config_to_string
     return {
-        "n_studies": design.n_studies,
-        "n_snps": design.n_snps,
-        "n_cases": design.n_cases,
-        "n_controls": design.n_controls,
-        "config_probs": {
-            config_to_string(h): p for h, p in design.config_probs.items()
-        },
+        **asdict(design),
+        "config_probs": {config_to_string(h): p for h, p in design.config_probs.items()},
         "effect_ranges": {str(s): list(r) for s, r in design.effect_ranges.items()},
-        "maf_range": list(design.maf_range),
-        "alpha": design.alpha,
-        "seed": design.seed,
     }
 
 
 def design_from_payload(payload: dict) -> SimDesign:
+    """The SimDesign of a design_payload record; its fields not named here are ints."""
+    from dataclasses import fields
     from .configspace import config_from_string
     from .sim import SimDesign
+    parse = {
+        "config_probs": lambda d: {config_from_string(t): float(p) for t, p in d.items()},
+        "effect_ranges": lambda d: {int(s): tuple(map(float, r)) for s, r in d.items()},
+        "maf_range": lambda r: tuple(map(float, r)),
+        "alpha": float,
+    }
     try:
-        return SimDesign(
-            n_studies=int(payload["n_studies"]),
-            n_snps=int(payload["n_snps"]),
-            n_cases=int(payload["n_cases"]),
-            n_controls=int(payload["n_controls"]),
-            config_probs={
-                config_from_string(text): float(p)
-                for text, p in payload["config_probs"].items()
-            },
-            effect_ranges={
-                int(s): tuple(float(v) for v in r)
-                for s, r in payload["effect_ranges"].items()
-            },
-            maf_range=tuple(float(v) for v in payload["maf_range"]),
-            alpha=float(payload["alpha"]),
-            seed=int(payload["seed"]),
-        )
+        return SimDesign(**{f.name: parse.get(f.name, int)(payload[f.name])
+                            for f in fields(SimDesign)})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed design record: {exc}") from exc
 
 
-def run_record(command: str, params: dict, inputs: dict) -> dict:
+def run_record(command: str, params: dict, inputs: dict, warnings) -> dict:
     """Reproducibility record: parameters, versions, input digests, warnings."""
     return {
         "command": command,
@@ -355,5 +345,5 @@ def run_record(command: str, params: dict, inputs: dict) -> dict:
         "versions": {m: sys.modules[m].__version__ for m in ("crossrep", "numpy")
                      if m in sys.modules},
         "inputs": {name: sha256_file(p) for name, p in inputs.items()},
-        "warnings": [],
+        "warnings": list(warnings),
     }

@@ -24,7 +24,7 @@ import numpy as np
 from .configspace import HypothesisSet, enumerate_configurations, null_subset
 from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, DataError, DegenerateAlternativeError,
                      ModelError, em_iterations, em_tolerance, fdr_level)
-from .twogroup import BinnedPanel, TwoGroupFit, null_bin_density
+from .twogroup import BinnedPanel, TwoGroupFit, half_line, null_bin_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,19 +85,13 @@ def build_conditionals(
             )
         centers = binned.centers[i]
         probs[i, 1] = null_bin_density(centers, 1.0)
-        for s, side in ((1, "z > 0"), (-1, "z < 0")):
-            w = _half_line(fit.fA_hat, centers, s)
-            if w.sum() <= 0:
-                raise DegenerateAlternativeError(
-                    f"study {fit.study_id!r}: alternative density has no mass on {side}"
-                )
-            probs[i, s + 1] = w / w.sum()
+        try:
+            for s in (1, -1):
+                w = half_line(fit.fA_hat, centers, s)
+                probs[i, s + 1] = w / w.sum()
+        except DegenerateAlternativeError as exc:
+            raise DegenerateAlternativeError(f"study {fit.study_id!r}: {exc}") from exc
     return ConditionalBinDensities(binned.centers.copy(), probs)
-
-
-def _half_line(values: np.ndarray, centers: np.ndarray, status: int) -> np.ndarray:
-    """values on the half-line of a signed status (z > 0 for +1, z < 0 for -1), else 0."""
-    return np.where(status * centers > 0, values, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +133,9 @@ def _status_index_matrix(space) -> np.ndarray:
     return np.array(space, dtype=np.int8) + 1  # (K, n) with values 0, 1, 2
 
 
-# A panel's bin_index (n, M), its distinct bin combos (U, n) in lexicographic
-# order, each feature's combo (M,), combo counts (U,) and their SignSparse like.
-CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index combos inverse counts like")
+# A panel's bin_index (n, M), each feature's combo (M,) among its distinct bin
+# combos in lexicographic order, combo counts (U,) and their SignSparse like.
+CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index inverse counts like")
 
 # The (K, U) likelihood in sign-sparse form. Each study's sign at a bin is -1
 # where its -1 conditional is positive, else +1; a combo's likelihood vanishes
@@ -282,7 +276,7 @@ def _direction(like: SignSparse, w: np.ndarray) -> np.ndarray:
 def _collapsed_likelihood(bin_index, cond) -> CollapsedLikelihood:
     combos, inverse, counts = _collapse_bins(bin_index)
     like = _sign_sparse(cond, combos)
-    return CollapsedLikelihood(bin_index, combos, inverse, counts, like)
+    return CollapsedLikelihood(bin_index, inverse, counts, like)
 
 
 def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:

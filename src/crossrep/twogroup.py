@@ -273,6 +273,18 @@ def alternative_density(
     return fa / mass
 
 
+def half_line(values: np.ndarray, centers: np.ndarray, status: int) -> np.ndarray:
+    """values on the half-line of a signed status (z > 0 for +1, z < 0 for -1), else 0.
+
+    A DegenerateAlternativeError when no mass of values lies on that half-line.
+    """
+    part = np.where(status * centers > 0, values, 0.0)
+    if part.sum() <= 0:
+        side = "z > 0" if status > 0 else "z < 0"
+        raise DegenerateAlternativeError(f"alternative density has no mass on {side}")
+    return part
+
+
 @dataclass(frozen=True, eq=False)
 class TwoGroupFit:
     """Per-study two-group fit on a bin grid.
@@ -321,15 +333,10 @@ def fit_study(
     else:
         try:
             fa = alternative_density(f_hat, pi0, centers, width)
+            for status in (1, -1):  # the cross-study model needs alternative mass on both sides
+                half_line(fa, centers, status)
         except (StudyExcludedError, DegenerateAlternativeError) as exc:
-            qualifies = False
-            reason = str(exc)
-        else:
-            # the cross-study model needs alternative mass on both sides
-            if fa[centers > 0].sum() <= 0 or fa[centers < 0].sum() <= 0:
-                qualifies = False
-                fa = None
-                reason = "alternative density has no mass on one side of zero"
+            qualifies, fa, reason = False, None, str(exc)
     return TwoGroupFit(
         study_id=panel.study_ids[study],
         pi0_hat=pi0,

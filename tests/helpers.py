@@ -108,21 +108,23 @@ def mean_metric(rows, key, attr):
 def composition_memo(total, parts):
     """memo[s] = int8 array of all compositions of s into `parts` parts."""
     memo = {s: np.array([[s]], dtype=np.int8) for s in range(total + 1)}
-    for p in range(2, parts + 1):
-        nxt = {}
-        for s in range(total + 1):
-            rows = sum(memo[s - first].shape[0] for first in range(s + 1))
-            out = np.empty((rows, p), dtype=np.int8)
-            at = 0
-            for first in range(s + 1):
-                tail = memo[s - first]
-                k = tail.shape[0]
-                out[at : at + k, 0] = first
-                out[at : at + k, 1:] = tail
-                at += k
-            nxt[s] = out
-        memo = nxt
+    for _ in range(2, parts + 1):
+        memo = {s: prefixed_compositions(memo, s) for s in range(total + 1)}
     return memo
+
+
+def prefixed_compositions(memo, s):
+    """All compositions of s into one part more than memo's rows, by ascending first part."""
+    rows = sum(memo[s - first].shape[0] for first in range(s + 1))
+    out = np.empty((rows, memo[0].shape[1] + 1), dtype=np.int8)
+    at = 0
+    for first in range(s + 1):
+        tail = memo[s - first]
+        k = tail.shape[0]
+        out[at : at + k, 0] = first
+        out[at : at + k, 1:] = tail
+        at += k
+    return out
 
 
 def composition_count(total, parts):
@@ -141,6 +143,9 @@ def weighted_loglik(pis, like, counts):
     return np.log(mixture) @ counts
 
 
+SURVIVOR_BLOCK = 1 << 20  # rows of one block of exactly evaluated grid points
+
+
 def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000_000):
     """Exact maximum of the composite log-likelihood over the simplex grid.
 
@@ -148,7 +153,10 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
     Points that a first-order concavity bound proves to lie below
     ll(pi_star) - slack are skipped (the log-likelihood is concave in the
     weights, so ll(pi) <= ll(pi_star) + grad . (pi - pi_star) is a true
-    upper bound); every surviving point is evaluated exactly.
+    upper bound); every surviving point is evaluated exactly, in blocks of
+    at most SURVIVOR_BLOCK rows. For K > 7 the seven-part tails of one sum
+    at a time are built from the six-part memo, so memory stays bounded
+    by the largest sum's tails rather than all of them.
 
     Returns (best_ll, n_exact, n_total).
     """
@@ -174,11 +182,11 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
         return best, n_exact, n_total
 
     outer = k - 7
-    memo7 = composition_memo(steps, 7)
+    memo6 = composition_memo(steps, 6)
     outer_rows = composition_memo(steps, outer) if outer > 1 else None
     g_tail = grad[outer:]
     for s in range(steps + 1):
-        tail = memo7[s]
+        tail = prefixed_compositions(memo6, s)
         tail_dot = np.empty(tail.shape[0])
         for lo in range(0, tail.shape[0], chunk):
             tail_dot[lo : lo + chunk] = tail[lo : lo + chunk] @ g_tail
@@ -192,14 +200,13 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
             bound = base + (head_dot + tail_dot) / steps
             n_total += tail.shape[0]
             cand = np.nonzero(bound >= threshold)[0]
-            if cand.size == 0:
-                continue
-            pis = np.empty((cand.size, k))
-            pis[:, :outer] = head / steps
-            pis[:, outer:] = tail[cand].astype(np.float64) / steps
-            lls = weighted_loglik(pis, like, counts)
             n_exact += cand.size
-            best = max(best, float(lls.max()))
+            for lo in range(0, cand.size, SURVIVOR_BLOCK):
+                rows = cand[lo : lo + SURVIVOR_BLOCK]
+                pis = np.empty((rows.size, k))
+                pis[:, :outer] = head / steps
+                pis[:, outer:] = tail[rows].astype(np.float64) / steps
+                best = max(best, float(weighted_loglik(pis, like, counts).max()))
     return best, n_exact, n_total
 
 

@@ -60,15 +60,23 @@ class TestSimulate:
         assert design["n_snps"] == 500
         assert design["seed"] == 99
 
-    @pytest.mark.parametrize("flags,change,exit_code", [
-        (["--seed", "-1"], {}, 2),
-        ([], {"seed": -3}, 2),
-        ([], {"config_probs": [["000", 1.0]]}, 3),
-        ([], {"effect_ranges": [[0.25, 0.5], [-0.5, -0.25]]}, 3),
+    @pytest.mark.parametrize("flags,change,exit_code,message", [
+        (["--seed", "-1"], {}, 2, "seed must be nonnegative, got -1"),
+        ([], {"seed": -3}, 2, "seed must be nonnegative, got -3"),
+        ([], {"config_probs": [["000", 1.0]]}, 3, "malformed design record"),
+        ([], {"effect_ranges": [[0.25, 0.5], [-0.5, -0.25]]}, 3, "malformed design record"),
+        ([], {"n_cases": 0}, 2, "need at least one case and one control"),
+        ([], {"config_probs": {"00": 1.0}}, 2, "configuration length does not match"),
+        ([], {"config_probs": {"000": 1.5, "+00": -0.5}}, 2, "must be nonnegative"),
+        ([], {"effect_ranges": {"1": [0.5, 0.25], "-1": [-0.5, -0.25]}}, 2,
+         "effect range bounds must be ordered"),
+        ([], {"effect_ranges": {"1": [0.25, 0.5], "-1": [0.25, 0.5]}}, 2,
+         "effect sign must match the association status"),
     ], ids=["negative-seed-flag", "negative-seed-design", "listed-config-probs",
-            "listed-effect-ranges"])
+            "listed-effect-ranges", "no-cases", "short-configuration", "negative-probability",
+            "unordered-effect-range", "wrong-signed-effect-range"])
     def test_bad_seed_or_design_is_one_error_line(self, sim_dir, tmp_path, capsys, flags,
-                                                  change, exit_code):
+                                                  change, exit_code, message):
         design = json.loads((sim_dir / "design.json").read_text())
         (tmp_path / "design.json").write_text(json.dumps({**design, **change}))
         code = run(["simulate", "--design", tmp_path / "design.json", "--out-dir",
@@ -76,6 +84,7 @@ class TestSimulate:
         assert code == exit_code
         err = capsys.readouterr().err
         assert err.count("error: ") == 1 and err.startswith("error: ")
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "zpanel.tsv").exists()
 
@@ -292,6 +301,18 @@ class TestEvaluate:
         assert run(argv + ["--out-dir", tmp_path / "patched"]) == 0
         plain, patched = (tmp_path / d / "metrics.json" for d in ("plain", "patched"))
         assert patched.read_bytes() == plain.read_bytes()
+
+    def test_report_without_a_known_hypothesis_is_data_error(self, sim_dir, tmp_path, capsys):
+        ids = [line.split("\t", 1)[0] for line in
+               (sim_dir / "truth.tsv").read_text().splitlines()[1:]]
+        (tmp_path / "report.tsv").write_text(
+            "snp_id\trejected_xx\n" + "".join(f"{snp}\t0\n" for snp in ids))
+        code = run(["evaluate", "--report", tmp_path / "report.tsv",
+                    "--truth", sim_dir / "truth.tsv", "--out-dir", tmp_path / "out"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: report contains no recognized hypothesis columns\n")
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_truth_line_missing_a_field_is_data_error(self, sim_dir, tmp_path, capsys):
         run(["compare", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])

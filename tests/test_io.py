@@ -151,13 +151,24 @@ class TestReportIO:
         with pytest.raises(DataError, match="rejected"):
             cio.read_report_rejections(path)
 
+    def test_write_failing_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.tsv"
+        path.write_text("old\n")
+        monkeypatch.setattr(cio, "_WRITE_BLOCK", 1)
+        p = np.array([0.1, 0.2, "x"], dtype=object)  # the third row cannot be formatted
+        with pytest.raises(TypeError):
+            cio.write_comparison_report(path, ("a", "b", "c"), {
+                "na": {"p": p, "p_adjusted": p, "rejected": np.array([1, 0, 0])}})
+        assert path.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["report.tsv"]
+
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_model_configurations_are_config_strings(n):
     space = enumerate_configurations(n)
     one_bin = ConditionalBinDensities(np.zeros((n, 1)), np.ones((n, 3, 1)))
     model = ConfigModel(np.full(len(space), 1.0 / len(space)), one_bin)
-    payload = cio.model_payload(model, [f"s{i}" for i in range(n)])
+    payload = cio.model_payload(model, [f"s{i}" for i in range(n)], {}, {})
     assert payload["configurations"] == [config_to_string(h) for h in space]
 
 
@@ -169,6 +180,19 @@ class TestUnreadableInput:
     def test_missing_file_is_data_error(self, tmp_path, reader):
         with pytest.raises(DataError, match=r"missing\.tsv: cannot read"):
             reader(tmp_path / "missing.tsv")
+
+    @pytest.mark.parametrize("reader,text,message", [
+        ("zpanel", "", "empty file"),
+        ("truth", "", "empty file"),
+        ("report", "", "empty file"),
+        ("zpanel", "snp_id\ta\tb\n", "no data rows"),
+        ("report", "id\trejected_na\nrs1\t1\n", "first column must be snp_id"),
+    ], ids=["zpanel-empty", "truth-empty", "report-empty", "zpanel-header-only",
+            "report-no-snp-id"])
+    def test_file_without_a_table_is_data_error(self, tmp_path, reader, text, message):
+        path = tmp_path / "file.tsv"
+        path.write_text(text)
+        assert outcome(READERS[reader][0], path) == f"{path}: {message}"
 
     def test_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -446,22 +470,11 @@ class TestErrorParity:
 
 
 class TestTruthStatuses:
-    """read_truth is the row oracle helpers.read_truth_rows restricted to the h_* columns."""
+    """read_truth is the row oracle helpers.read_truth_rows restricted to the h_* columns.
 
-    @settings(max_examples=60, deadline=None)
-    @given(truth_and_ids=truths())
-    def test_matches_read_truth(self, truth_and_ids):
-        truth, study_ids = truth_and_ids
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "truth.tsv")
-            cio.write_truth(truth, study_ids, path)
-            (snp_ids, statuses), (full, full_ids) = (
-                cio.read_truth(path), helpers.read_truth_rows(path))
-        assert snp_ids == full.snp_ids == truth.snp_ids
-        assert full_ids == study_ids
-        assert int_lists(statuses, truth.statuses)
-        if truth.n_snps:  # the row oracle cannot shape an empty body
-            assert int_lists(statuses, full.statuses)
+    TestColumnarCodec and FAULTS check the parity on whole files and line faults;
+    these are the cases of its header and status columns alone.
+    """
 
     @pytest.mark.parametrize(
         "header", ["snp_id", "snp_id\th_a\ttheta_a", "id\th_a\ttheta_a\tmaf_a"])
@@ -473,23 +486,15 @@ class TestTruthStatuses:
         assert message == outcome(helpers.read_truth_rows, path)
 
     @pytest.mark.parametrize("lineno", [2, 5], ids=["first", "later"])
-    @pytest.mark.parametrize("fault,column,token", [
-        ("blank line", None, None),
-        ("missing field", None, None),
-        ("extra field", None, None),
-        ("bad status", 4, "2"),
-        ("fractional status", 1, "1.0"),
-        ("empty status", 4, ""),
-    ])
+    @pytest.mark.parametrize("fault,column,token", [("empty status", 4, "")])
     def test_line_faults_match_read_truth(self, tmp_path, fault, column, token, lineno):
         path = base_files(tmp_path)["truth"]
         inject(path, lineno, fault, column, token)
         message = outcome(cio.read_truth, path)
         assert message is not None and message.startswith(f"{path}: line {lineno}: ")
         assert message == outcome(helpers.read_truth_rows, path)
-        if column is not None:
-            header = path.read_text().split("\n", 1)[0].split("\t")
-            assert f"column {header[column]!r}" in message and header[column].startswith("h_")
+        header = path.read_text().split("\n", 1)[0].split("\t")
+        assert f"column {header[column]!r}" in message and header[column].startswith("h_")
 
     def test_theta_and_maf_cells_are_not_parsed(self, tmp_path):
         path = base_files(tmp_path)["truth"]

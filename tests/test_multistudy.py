@@ -156,7 +156,8 @@ class TestBuildConditionals:
         fa /= fa.sum() * width
         fit = cr.TwoGroupFit("a", 0.9, centers, width, norm.pdf(centers), fa, True)
         binned = make_binned(np.zeros((1, 5), dtype=int), -4, 4, b=40)
-        with pytest.raises(DegenerateAlternativeError):
+        with pytest.raises(DegenerateAlternativeError,
+                           match="^study 'a': alternative density has no mass on z < 0$"):
             build_conditionals([fit], binned)
 
 

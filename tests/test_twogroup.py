@@ -6,6 +6,7 @@ from scipy.stats import norm
 from crossrep import (
     ConfigError,
     DataError,
+    DegenerateAlternativeError,
     FitError,
     StudyExcludedError,
     TwoGroupFit,
@@ -212,6 +213,13 @@ class TestAlternativeDensity:
         with pytest.raises(StudyExcludedError):
             alternative_density(np.full(50, 0.02), 0.5, centers, centers[1] - centers[0])
 
+    def test_no_alternative_mass_anywhere_is_degenerate(self):
+        centers = np.linspace(-3, 3, 30)
+        width = centers[1] - centers[0]
+        f = 0.5 * null_bin_density(centers, width)  # below pi0 * f0 in every bin
+        with pytest.raises(DegenerateAlternativeError, match="vanished everywhere"):
+            alternative_density(f, 0.9, centers, width)
+
     def test_pi0_one_is_excluded(self):
         centers = np.linspace(-3, 3, 30)
         with pytest.raises(StudyExcludedError):
@@ -335,6 +343,19 @@ class TestFitPipeline:
         assert not fit.qualifies
         assert fit.fA_hat is None
         assert "null fraction" in fit.exclusion_reason
+
+    @pytest.mark.parametrize("empty,side", [(1, "z > 0"), (-1, "z < 0")])
+    def test_one_sided_alternative_is_excluded_naming_its_side(self, monkeypatch, empty,
+                                                                side):
+        rng = np.random.default_rng(5)
+        panel = make_panel(rng.normal(size=(1, 3000)))
+        binned = bin_panel(panel, 50)
+        one_sided = (lambda f, pi0, centers, width:
+                     np.where(empty * centers > 0, 0.0, 1.0) / (25 * width))
+        monkeypatch.setattr(twogroup, "alternative_density", one_sided)
+        fit = fit_study(panel, binned, 0, exclusion_threshold=2.0)
+        assert not fit.qualifies and fit.fA_hat is None
+        assert fit.exclusion_reason == f"alternative density has no mass on {side}"
 
     def test_pure_null_study_is_excluded_above_threshold_one(self):
         # pi0 = 1 is below a threshold of 2, so the exclusion comes from the
