@@ -143,7 +143,7 @@ def cmd_evaluate(args, out: Path) -> None:
 
 def _add_level_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=fdr_level, default=0.05, help="target Bayes FDR level")
-    parser.add_argument("--hypothesis", choices=("na", "nr", "both"), default="both")
+    parser.add_argument("--hypothesis", choices=(*_HYP_LABELS, "both"), default="both")
 
 
 def build_parser() -> argparse.ArgumentParser:

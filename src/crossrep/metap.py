@@ -6,6 +6,7 @@ directional partial-conjunction p-value of Benjamini & Heller (2008,
 Biometrics 64:1215): per side, Fisher-combine the n - u + 1 largest
 one-sided study p-values, then double the smaller side, capped at 1. No
 u - 1 studies, whatever their signs, give a small value on their own.
+Among tied strongest studies the first in study order is left out.
 Rejections use the Benjamini-Hochberg step-up rule.
 """
 
@@ -48,15 +49,12 @@ def _even_chi2_tail(k: int, y: np.ndarray) -> np.ndarray:
 
 
 def _zero_strongest(log_tail: np.ndarray, u: int) -> None:
-    """Zero, not subtract, each column's u - 1 most negative: the rest sum as on their own."""
-    if u == 2:  # a unique minimum is any selection's pick; a tied or NaN one takes argpartition's
+    """Zero, not subtract, each column's u - 1 most negative, the first of tied ones in
+    study order: no host picks another. A column holding a NaN zeroes nothing."""
+    for _ in range(u - 1):
         strongest = log_tail == log_tail.min(axis=0)
-        cols = np.nonzero(np.count_nonzero(strongest, axis=0) != 1)[0]
-        strongest[:, cols] = False
-        strongest[np.argpartition(log_tail[:, cols], 0, axis=0)[0], cols] = True
+        strongest[1:] &= ~np.logical_or.accumulate(strongest[:-1], axis=0)
         np.putmask(log_tail, strongest, 0.0)
-    elif u > 2:
-        np.put_along_axis(log_tail, np.argpartition(log_tail, u - 2, axis=0)[: u - 1], 0.0, axis=0)
 
 
 def partial_conjunction_pvalues(z_panel, us) -> list[np.ndarray]:

@@ -411,12 +411,10 @@ def fdr_report(
         raise DataError("local FDR input must be a nonempty 1-d vector")
     if np.any(~np.isfinite(lf)) or np.any(lf < 0) or np.any(lf > 1 + 1e-12):
         raise DataError("local FDR values must lie in [0, 1]")
-    lf = np.minimum(lf, 1.0)
+    lf = np.minimum(lf, 1.0) + 0.0  # -0 reads as +0, so tied values are bitwise equal
     m = lf.size
 
-    # tied values are bitwise equal but for +-0: zeros keep input order, as t_hat's sign reads it
     order = np.argsort(lf)
-    order[: np.count_nonzero(lf == 0.0)].sort()
     lf_sorted = lf[order]
     # rounding can dip a running mean over near-tied values; keep it non-decreasing
     running = np.maximum.accumulate(np.cumsum(lf_sorted) / np.arange(1, m + 1))

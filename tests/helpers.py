@@ -154,9 +154,10 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
     ll(pi_star) - slack are skipped (the log-likelihood is concave in the
     weights, so ll(pi) <= ll(pi_star) + grad . (pi - pi_star) is a true
     upper bound); every surviving point is evaluated exactly, in blocks of
-    at most SURVIVOR_BLOCK rows. For K > 7 the seven-part tails of one sum
-    at a time are built from the six-part memo, so memory stays bounded
-    by the largest sum's tails rather than all of them.
+    at most SURVIVOR_BLOCK rows. K must be at least 8: each point is a
+    (K - 7)-part head and a seven-part tail, and the tails of one sum at a
+    time are built from the six-part memo, so memory stays bounded by the
+    largest sum's tails rather than all of them.
 
     Returns (best_ll, n_exact, n_total).
     """
@@ -170,32 +171,16 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
     best = -np.inf
     n_exact = 0
     n_total = 0
-    if k <= 7:
-        memo = composition_memo(steps, k)
-        rows = memo[steps].astype(np.float64) / steps
-        n_total = rows.shape[0]
-        for lo in range(0, rows.shape[0], chunk):
-            block = rows[lo : lo + chunk]
-            lls = weighted_loglik(block, like, counts)
-            n_exact += block.shape[0]
-            best = max(best, float(lls.max()))
-        return best, n_exact, n_total
-
     outer = k - 7
     memo6 = composition_memo(steps, 6)
-    outer_rows = composition_memo(steps, outer) if outer > 1 else None
+    outer_rows = composition_memo(steps, outer)
     g_tail = grad[outer:]
     for s in range(steps + 1):
         tail = prefixed_compositions(memo6, s)
         tail_dot = np.empty(tail.shape[0])
         for lo in range(0, tail.shape[0], chunk):
             tail_dot[lo : lo + chunk] = tail[lo : lo + chunk] @ g_tail
-        heads = (
-            outer_rows[steps - s]
-            if outer_rows is not None
-            else np.array([[steps - s]], dtype=np.int8)
-        )
-        for head in heads:
+        for head in outer_rows[steps - s]:
             head_dot = float(head.astype(np.float64) @ grad[:outer])
             bound = base + (head_dot + tail_dot) / steps
             n_total += tail.shape[0]
@@ -286,8 +271,8 @@ def stable_bh_adjust(p):
 
 def lexsort_fdr_report(lf, q):
     """(fdr_estimate, t_hat, rejected) of multistudy.fdr_report, ranked by lexsort
-    on (local FDR, index): every tie group in input order."""
-    lf = np.minimum(np.asarray(lf, dtype=float), 1.0)
+    on (local FDR, index): every tie group in input order, -0 read as +0."""
+    lf = np.minimum(np.asarray(lf, dtype=float), 1.0) + 0.0
     m = lf.size
     order = np.lexsort((np.arange(m), lf))
     lf_sorted = lf[order]
@@ -301,9 +286,9 @@ def lexsort_fdr_report(lf, q):
     return fdr_estimate, t_hat, rejected
 
 
-def argpartition_zero_strongest(log_tail, u):
-    """Zero each column's u - 1 smallest in place at the indices argpartition takes."""
-    strongest = np.argpartition(log_tail, u - 2, axis=0)[: u - 1]
+def stable_zero_strongest(log_tail, u):
+    """Zero each column's u - 1 smallest in place, ties in row order by a stable sort."""
+    strongest = np.argsort(log_tail, axis=0, kind="stable")[: u - 1]
     np.put_along_axis(log_tail, strongest, 0.0, axis=0)
 
 

@@ -19,7 +19,6 @@ from crossrep import metap
 from crossrep.metap import partial_conjunction_pvalues
 from helpers import (
     TIED_UNIT_VALUES,
-    argpartition_zero_strongest,
     concordant_meta_pvalue,
     fisher_combine,
     mpmath_partial_conjunction_pvalue,
@@ -27,6 +26,7 @@ from helpers import (
     no_replicability_pvalue,
     partial_conjunction_pvalue,
     stable_bh_adjust,
+    stable_zero_strongest,
 )
 
 
@@ -234,18 +234,24 @@ class TestBlocks:
                     assert got.tobytes() == want.tobytes()
             monkeypatch.undo()
 
-    def test_u_2_zeroes_the_entry_argpartition_picks(self):
-        # x86-simd-sort's argpartition need not take the first of tied minima
-        rng = np.random.default_rng(41)
-        for n in range(2, 9):
-            z = self.tied_panel(rng, n, 4000)
-            for log_tail in (norm.logcdf(z), norm.logcdf(-z)):
-                tied = np.count_nonzero(log_tail == log_tail.min(axis=0), axis=0) > 1
-                assert tied.sum() > 500 and np.isnan(log_tail).any()
+    @pytest.mark.parametrize("n", [*range(2, 9), 12])
+    def test_tied_strongest_studies_go_in_study_order(self, n):
+        # which of two equal values is zeroed changes the float sum of the rest
+        rng = np.random.default_rng([41, n])
+        z = self.tied_panel(rng, n, 4000)
+        nan = np.isnan(z).any(axis=0)
+        us = range(1, n + 1)
+        for log_tail in (norm.logcdf(z), norm.logcdf(-z)):
+            tied = np.count_nonzero(log_tail == log_tail.min(axis=0), axis=0) > 1
+            assert tied.sum() > 500 and nan.any()
+            for u in us:
                 got, want = log_tail.copy(), log_tail.copy()
-                metap._zero_strongest(got, 2)
-                argpartition_zero_strongest(want, 2)
-                assert got.tobytes() == want.tobytes()
+                metap._zero_strongest(got, u)
+                stable_zero_strongest(want, u)
+                assert got[:, ~nan].tobytes() == want[:, ~nan].tobytes()
+                assert got[:, nan].tobytes() == log_tail[:, nan].tobytes()
+        for p in partial_conjunction_pvalues(z, us):
+            assert np.isnan(p[nan]).all() and np.isfinite(p[~nan]).all()
 
     def test_temporaries_do_not_grow_with_the_panel(self, monkeypatch):
         monkeypatch.setattr(metap, "BLOCK", 1024)

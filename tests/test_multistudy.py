@@ -724,6 +724,8 @@ class TestFdrReport:
     @given(lf=LOCAL_FDRS, q=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
     # the float running mean of these dips below 0.1 at rank 5
     @example(lf=[0.1] * 4 + [0.10000000000000002] * 3, q=0.5, seed=0)
+    # zeros of both signs: t_hat's bits must not follow feature order
+    @example(lf=[0.0, -0.0, 0.0, -0.0, 1.0], q=0.05, seed=3)
     def test_report_properties(self, lf, q, seed):
         lf = np.array(lf)
         report = fdr_report(lf, q)
@@ -738,13 +740,13 @@ class TestFdrReport:
             assert lf[report.rejected].mean() <= q + 1e-12
         perm = np.random.default_rng(seed).permutation(lf.size)
         shuffled = fdr_report(lf[perm], q)
-        assert shuffled.t_hat == report.t_hat
+        assert np.float64(shuffled.t_hat).view(np.uint64) == np.float64(report.t_hat).view(np.uint64)
         assert np.array_equal(shuffled.fdr_estimate, est[perm])
         assert np.array_equal(shuffled.rejected, report.rejected[perm])
 
     @settings(max_examples=300, deadline=None)
     @given(lf=TIED_UNIT_VALUES, q=st.sampled_from([0.01, 0.05, 0.5]))
-    @example(lf=[1.0, 1.0, 0.0, -0.0], q=0.05)  # t_hat is the zero last in input order
+    @example(lf=[1.0, 1.0, 0.0, -0.0], q=0.05)  # t_hat is +0: -0 reads as +0
     def test_ties_match_a_lexsort_ranking_bit_for_bit(self, lf, q):
         report = fdr_report(lf, q)
         estimate, t_hat, rejected = lexsort_fdr_report(lf, q)
