@@ -112,7 +112,7 @@ def bh_procedure(p, q: float) -> np.ndarray:
     values = _checked(p)
     m = values.size
     p_sorted = np.sort(values)
-    ok = p_sorted <= q * np.arange(1, m + 1) / m
+    ok = p_sorted * m / np.arange(1, m + 1) <= q
     if not np.any(ok):
         return np.zeros(m, dtype=bool)
     threshold = p_sorted[np.nonzero(ok)[0][-1]]

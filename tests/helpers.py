@@ -105,28 +105,6 @@ def mean_metric(rows, key, attr):
     return float(np.mean(values)), len(values)
 
 
-def composition_memo(total, parts):
-    """memo[s] = int8 array of all compositions of s into `parts` parts."""
-    memo = {s: np.array([[s]], dtype=np.int8) for s in range(total + 1)}
-    for _ in range(2, parts + 1):
-        memo = {s: prefixed_compositions(memo, s) for s in range(total + 1)}
-    return memo
-
-
-def prefixed_compositions(memo, s):
-    """All compositions of s into one part more than memo's rows, by ascending first part."""
-    rows = sum(memo[s - first].shape[0] for first in range(s + 1))
-    out = np.empty((rows, memo[0].shape[1] + 1), dtype=np.int8)
-    at = 0
-    for first in range(s + 1):
-        tail = memo[s - first]
-        k = tail.shape[0]
-        out[at : at + k, 0] = first
-        out[at : at + k, 1:] = tail
-        at += k
-    return out
-
-
 def composition_count(total, parts):
     from math import comb
 
@@ -143,21 +121,22 @@ def weighted_loglik(pis, like, counts):
     return np.log(mixture) @ counts
 
 
-SURVIVOR_BLOCK = 1 << 20  # rows of one block of exactly evaluated grid points
+GRID_BLOCK = 1 << 12  # partial weight vectors expanded at once
 
 
-def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000_000):
+def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3):
     """Exact maximum of the composite log-likelihood over the simplex grid.
 
-    Enumerates every weight vector with entries k/steps on the K-simplex.
-    Points that a first-order concavity bound proves to lie below
-    ll(pi_star) - slack are skipped (the log-likelihood is concave in the
-    weights, so ll(pi) <= ll(pi_star) + grad . (pi - pi_star) is a true
-    upper bound); every surviving point is evaluated exactly, in blocks of
-    at most SURVIVOR_BLOCK rows. K must be at least 8: each point is a
-    (K - 7)-part head and a seven-part tail, and the tails of one sum at a
-    time are built from the six-part memo, so memory stays bounded by the
-    largest sum's tails rather than all of them.
+    The grid is every weight vector with entries k/steps on the K-simplex.
+    A depth-first branch and bound fixes one weight at a time and drops a
+    subtree when the smaller of two upper bounds on its completions falls
+    below both the best value known and ll(pi_star) - slack: the tangent
+    plane at pi_star (the log-likelihood is concave in the weights), and
+    the bound that puts the unfixed mass on each column's largest
+    remaining likelihood. The best value known starts at a rounding of
+    pi_star, which is never reported, and is lowered by a relative 1e-9 so
+    that rounding in a bound never drops the maximum. slack=inf scores
+    every point.
 
     Returns (best_ll, n_exact, n_total).
     """
@@ -166,32 +145,40 @@ def simplex_grid_search(like, counts, pi_star, steps=50, slack=2e-3, chunk=6_000
     ll_star = float(np.log(mixture_star) @ counts)
     grad = like @ (counts / mixture_star)
     base = ll_star - float(pi_star @ grad)
-    threshold = ll_star - slack
+    grad_top = np.maximum.accumulate(grad[::-1])[::-1]  # max(grad[j:])
+    like_top = np.maximum.accumulate(like[::-1], axis=0)[::-1]  # max(like[j:], axis=0)
+    scaled = pi_star * steps
+    seed = np.floor(scaled)
+    seed[np.argsort(seed - scaled)[: steps - int(seed.sum())]] += 1
+    seed_ll = float(weighted_loglik(seed[None] / steps, like, counts)[0])
+    margin = 1e-9 * abs(seed_ll)
 
     best = -np.inf
-    n_exact = 0
-    n_total = 0
-    outer = k - 7
-    memo6 = composition_memo(steps, 6)
-    outer_rows = composition_memo(steps, outer)
-    g_tail = grad[outer:]
-    for s in range(steps + 1):
-        tail = prefixed_compositions(memo6, s)
-        tail_dot = np.empty(tail.shape[0])
-        for lo in range(0, tail.shape[0], chunk):
-            tail_dot[lo : lo + chunk] = tail[lo : lo + chunk] @ g_tail
-        for head in outer_rows[steps - s]:
-            head_dot = float(head.astype(np.float64) @ grad[:outer])
-            bound = base + (head_dot + tail_dot) / steps
-            n_total += tail.shape[0]
-            cand = np.nonzero(bound >= threshold)[0]
-            n_exact += cand.size
-            for lo in range(0, cand.size, SURVIVOR_BLOCK):
-                rows = cand[lo : lo + SURVIVOR_BLOCK]
-                pis = np.empty((rows.size, k))
-                pis[:, :outer] = head / steps
-                pis[:, outer:] = tail[rows].astype(np.float64) / steps
-                best = max(best, float(weighted_loglik(pis, like, counts).max()))
+    n_exact = n_total = 0
+    stack = [np.zeros((1, 0), dtype=np.int64)]
+    while stack:
+        heads = stack.pop()
+        rest = steps - heads.sum(axis=1)
+        # every head gets each next weight 0..rest, in order
+        parent = np.repeat(np.arange(len(heads)), rest + 1)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(rest + 1) - rest - 1, rest + 1)
+        heads = np.column_stack([heads[parent], value])
+        rest = rest[parent] - value
+        d = heads.shape[1]
+        with np.errstate(divide="ignore"):
+            reach = np.log((heads @ like[:d] + rest[:, None] * like_top[d]) / steps) @ counts
+        tangent = base + (heads @ grad[:d] + rest * grad_top[d]) / steps
+        drop = np.minimum(tangent, reach) < min(max(best, seed_ll) - margin, ll_star - slack)
+        sizes = np.array([composition_count(r, k - d) for r in range(steps + 1)])
+        n_total += int(sizes[rest[drop]].sum())
+        heads, rest = heads[~drop], rest[~drop]
+        if d < k - 1:
+            stack.extend(np.array_split(heads, range(GRID_BLOCK, len(heads), GRID_BLOCK)))
+        elif len(heads):
+            pis = np.column_stack([heads, rest]) / steps
+            best = max(best, float(weighted_loglik(pis, like, counts).max()))
+            n_exact += len(heads)
+            n_total += len(heads)
     return best, n_exact, n_total
 
 

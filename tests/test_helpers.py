@@ -5,7 +5,15 @@ import pytest
 
 import crossrep as cr
 from crossrep import DataError
-from helpers import NR, analytic_conditionals, empirical_conditionals, make_binned, oracle_report
+from helpers import (
+    NR,
+    analytic_conditionals,
+    composition_count,
+    empirical_conditionals,
+    make_binned,
+    oracle_report,
+    simplex_grid_search,
+)
 
 
 class TestOracleReport:
@@ -43,3 +51,37 @@ class TestOracleReport:
                 cr.null_subset(NR, 2),
                 0.05,
             )
+
+
+def grid_instance(rng, k):
+    """A random (like, counts, pi_star) with K = k; about every fifth likelihood is 0.
+
+    Half of the instances take pi_star from 200 EM steps, so the bounds are
+    tight near the optimum; the rest take a random interior point.
+    """
+    u = int(rng.integers(1, 13))
+    like = rng.exponential(size=(k, u)) * (rng.uniform(size=(k, u)) < 0.8)
+    like[rng.integers(k, size=u), np.arange(u)] += 0.1  # every column has mass
+    counts = rng.integers(1, 50, size=u).astype(float)
+    pi = rng.dirichlet(np.ones(k))
+    if rng.uniform() < 0.5:
+        for _ in range(200):
+            pi = pi * (like @ (counts / (pi @ like))) / counts.sum()
+    return like, counts, pi
+
+
+class TestSimplexGridSearch:
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_pruned_search_finds_the_enumerated_maximum(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(40):
+            like, counts, pi = grid_instance(rng, k)
+            steps = int(rng.integers(1, 30 if k < 5 else 8))
+            full, n_exact, n_total = simplex_grid_search(like, counts, pi, steps, slack=np.inf)
+            assert n_exact == n_total == composition_count(steps, k)
+            for slack in (0.0, 1e-3, 0.5):
+                best, n_exact, n_total = simplex_grid_search(like, counts, pi, steps, slack)
+                assert n_total == composition_count(steps, k)
+                assert 1 <= n_exact <= n_total
+                # the same vector scored in a batch of another shape may move by an ulp
+                assert best == full or abs(best - full) <= 1e-12 * abs(full)

@@ -312,6 +312,16 @@ class TestBhProcedure:
             p = rng.uniform(size=rng.integers(1, 300))
             q = rng.uniform(0.01, 0.3)
             assert np.array_equal(bh_procedure(p, q), bh_adjust(p) <= q)
+        # every p and adjusted p one ulp above q: nothing is rejected
+        p = np.full(3, np.nextafter(0.05, 1))
+        assert not bh_procedure(p, 0.05).any() and not (bh_adjust(p) <= 0.05).any()
+        # j values at q * j / m, the rest at 1: both sides round p * m / j alike
+        for q in (0.01, 0.05, 0.1, 0.2):
+            for m in range(1, 60):
+                for j in range(1, m + 1):
+                    p = np.ones(m)
+                    p[:j] = q * j / m
+                    assert np.array_equal(bh_procedure(p, q), bh_adjust(p) <= q)
 
     def test_adjusted_pvalues_are_monotone_in_p(self):
         rng = np.random.default_rng(4)
