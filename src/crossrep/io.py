@@ -97,17 +97,10 @@ _STATUS_TOKENS = {"-1": -1, "0": 0, "1": 1}
 
 
 def _statuses(tokens: list[str]) -> list[int]:
-    try:
+    try:  # the tokens write_truth writes, and no other spelling
         return list(map(_STATUS_TOKENS.__getitem__, tokens))
-    except KeyError:  # a token write_truth does not write: int() decides
-        pass
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        values = [None]
-    if not set(values) <= {-1, 0, 1}:
-        raise ValueError("column {column!r}: {token!r} is not -1, 0 or +1")
-    return values
+    except KeyError:
+        raise ValueError("column {column!r}: {token!r} is not -1, 0 or +1") from None
 
 
 def _flags(tokens: list[str]) -> list[bool]:

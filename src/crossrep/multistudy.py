@@ -400,10 +400,9 @@ def fdr_report(
 
     Features are ranked by local FDR; the estimate for each feature is the
     running mean of local values up to its rank, with ties sharing the
-    value at the last tied rank. The threshold t_hat is the largest local
-    FDR whose running mean stays at or below q; every feature at or below
-    it is rejected. With no feasible rank, nothing is rejected and t_hat
-    is 0.
+    value at the last tied rank. Every feature whose estimate is at or below
+    q is rejected; the estimate never decreases with rank, so the rejections
+    are the first k ranks. t_hat is the local FDR at rank k, or 0 when k = 0.
     """
     q = fdr_level(q)
     lf = np.asarray(local_fdrs, dtype=float)
@@ -421,16 +420,11 @@ def fdr_report(
     last_tied = np.searchsorted(lf_sorted, lf_sorted, side="right") - 1
     fdr_sorted = running[last_tied]
 
-    feasible = fdr_sorted <= q
-    if np.any(feasible):
-        t_hat = float(lf_sorted[np.nonzero(feasible)[0][-1]])
-        rejected = lf <= t_hat
-    else:
-        t_hat = 0.0
-        rejected = np.zeros(m, dtype=bool)
-
     fdr_estimate = np.empty(m)
     fdr_estimate[order] = fdr_sorted
+    rejected = fdr_estimate <= q
+    k = int(np.count_nonzero(rejected))
+    t_hat = float(lf_sorted[k - 1]) if k else 0.0
     return DiscoveryReport(
         hypothesis=hypothesis,
         q=float(q),

@@ -236,22 +236,18 @@ def simulate_study(truth: TruthPanel, design: SimDesign, study: int) -> np.ndarr
 
 
 def _margins(tables):
-    """Cells, row totals, dose-column totals and grand totals of 2x3 tables.
+    """Cells, row totals, dose-column totals and grand totals of an (M, 2, 3) stack.
 
-    Returns float arrays of shapes (2, 3, M), (2, M), (3, M) and (M,), and
-    whether a single table was given. Counts are integers, so every margin
-    is an exact sum.
+    Returns float arrays of shapes (2, 3, M), (2, M), (3, M) and (M,).
+    Counts are integers, so every margin is an exact sum.
     """
     t = np.asarray(tables)
-    squeeze = t.ndim == 2
-    if squeeze:
-        t = t[None]
     if t.ndim != 3 or t.shape[1:] != (2, 3):
-        raise DataError("expected tables of shape (..., 2, 3)")
+        raise DataError("expected tables of shape (M, 2, 3)")
     cells = np.moveaxis(t, 0, -1).astype(float, order="C")
     rows = cells[:, 0] + cells[:, 1] + cells[:, 2]
     cols = cells[0] + cells[1]
-    return cells, rows, cols, rows[0] + rows[1], squeeze
+    return cells, rows, cols, rows[0] + rows[1]
 
 
 def _trend_z(cells, rows, cols, total) -> np.ndarray:
@@ -290,9 +286,7 @@ def z_from_tables(tables: np.ndarray) -> np.ndarray:
     statistic is standard normal for large tables under no association.
     Zero-variance (monomorphic) tables get z = 0.
     """
-    *margins, squeeze = _margins(tables)
-    z = _trend_z(*margins)
-    return z[0] if squeeze else z
+    return _trend_z(*_margins(tables))
 
 
 # Cephes ndtri coefficients, as scipy.special carries them
@@ -380,13 +374,12 @@ def z_from_tables_contingency(tables: np.ndarray) -> np.ndarray:
     is standard normal; monomorphic tables again get z = 0. The quantile of
     the log upper tail, -stat / 2, keeps |z| accurate for any statistic.
     """
-    *margins, squeeze = _margins(tables)
+    margins = _margins(tables)
     stat = _pearson(*margins)
     trend = _trend_z(*margins)
     magnitude = -_ndtri_exp(-0.5 * stat)
     with np.errstate(invalid="ignore"):  # a monomorphic table: sign 0 times magnitude -inf
-        z = np.where(trend == 0.0, 0.0, np.sign(trend) * magnitude)
-    return z[0] if squeeze else z
+        return np.where(trend == 0.0, 0.0, np.sign(trend) * magnitude)
 
 
 _PANEL_STATISTICS = {

@@ -294,7 +294,7 @@ def fisher_combine(p):
 
 
 def z_from_table(table):
-    return float(cr.z_from_tables(np.asarray(table)))
+    return float(cr.z_from_tables(np.asarray(table)[None])[0])
 
 
 def three_sum_pearson_statistic(tables):
@@ -312,11 +312,6 @@ def three_sum_pearson_statistic(tables):
     with np.errstate(invalid="ignore", divide="ignore"):
         cells = np.where(expected > 0, (t - expected) ** 2 / expected, 0.0)
     return cells.sum(axis=(1, 2))
-
-
-def study_qualifies(fit, threshold=cr.twogroup.DEFAULT_EXCLUSION_THRESHOLD):
-    """True when the estimated null fraction is below the exclusion threshold."""
-    return fit.pi0_hat < threshold
 
 
 def config_likelihood(snp_bins, h, cond):
@@ -500,15 +495,11 @@ def _check_line(fields, width, path, lineno):
 
 
 def _parse_status(token, path, lineno, column):
-    try:
-        value = int(token)
-    except ValueError:
-        value = None
-    if value not in (-1, 0, 1):
+    if token not in ("-1", "0", "1"):
         raise cr.DataError(
             f"{path}: line {lineno}: column {column!r}: {token!r} is not -1, 0 or +1"
         )
-    return value
+    return int(token)
 
 
 def read_zpanel_rows(path):

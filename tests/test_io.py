@@ -505,15 +505,12 @@ class TestTruthStatuses:
         assert snp_ids == tuple(f"rs{j}" for j in range(5))
         assert statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
 
-    def test_status_tokens_are_read_by_int(self, tmp_path):
-        # write_truth writes -1, 0 and 1; a token int() reads as one of them is accepted too
+    @pytest.mark.parametrize("token", ["+1", " -1", "01", "1.0"])
+    def test_only_the_written_status_tokens_are_read(self, tmp_path, token):
+        # write_truth writes -1, 0 and 1; any other spelling of a status is refused
         path = base_files(tmp_path)["truth"]
-        inject(path, 3, "status", 1, "+1")
-        inject(path, 4, "status", 1, " -1")
-        (full, _), (_, statuses) = helpers.read_truth_rows(path), cio.read_truth(path)
-        assert full.statuses.tolist() == statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
-        inject(path, 5, "status", 4, "1.0")
-        message = f"{path}: line 5: column 'h_s2': '1.0' is not -1, 0 or +1"
+        inject(path, 3, "status", 1, token)
+        message = f"{path}: line 3: column 'h_s1': {token!r} is not -1, 0 or +1"
         assert outcome(helpers.read_truth_rows, path) == outcome(cio.read_truth, path) == message
 
 

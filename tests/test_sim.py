@@ -25,11 +25,9 @@ from helpers import NA, NR, three_sum_pearson_statistic, z_from_table
 
 
 def pearson_statistic(tables):
-    """Pearson chi-square (2 df) of one 2x3 table or a stack, as z_from_tables_contingency
+    """Pearson chi-square (2 df) of a stack of 2x3 tables, as z_from_tables_contingency
     computes it."""
-    *margins, squeeze = _margins(tables)
-    stat = _pearson(*margins)
-    return stat[0] if squeeze else stat
+    return _pearson(*_margins(tables))
 
 
 class TestDesign:
@@ -209,7 +207,8 @@ class TestContingencyZ:
         for t in (tables, simulated, tables[[0]], tables[[2000]]):
             stat = pearson_statistic(t)
             assert np.array_equal(stat.view(np.uint64), three_sum_pearson_statistic(t).view(np.uint64))
-        assert pearson_statistic(tables[2000]) == three_sum_pearson_statistic(tables[[2000]])[0]
+        with pytest.raises(DataError, match=r"shape \(M, 2, 3\)"):  # a lone table is refused
+            pearson_statistic(tables[2000])
         assert np.all(pearson_statistic(tables[:500]) == 0.0)
 
     def test_sign_follows_trend_direction(self):

@@ -22,7 +22,6 @@ from crossrep import (
     twogroup,
 )
 from crossrep.twogroup import DEFAULT_EXCLUSION_THRESHOLD, assign_bins
-from helpers import study_qualifies
 
 
 def make_panel(z_rows, ids=None):
@@ -295,20 +294,36 @@ class TestLocalFdr:
 
 
 class TestQualification:
-    @pytest.mark.parametrize(
-        "pi0,expected",
-        [(1.0, False), (0.89, True), (0.999999999, False)],
-    )
-    def test_threshold_boundaries(self, pi0, expected):
-        centers = np.linspace(-3, 3, 20)
-        fit = make_fit(pi0, np.full(20, 1 / 6.0), centers, 0.3)
-        assert study_qualifies(fit) is expected
+    """fit_study's exclusion rule, pi0 < threshold, with estimate_pi0 replaced."""
 
-    def test_custom_threshold(self):
-        centers = np.linspace(-3, 3, 20)
-        fit = make_fit(0.97, np.full(20, 1 / 6.0), centers, 0.3)
-        assert study_qualifies(fit, threshold=0.95) is False
-        assert study_qualifies(fit, threshold=0.99) is True
+    @pytest.fixture
+    def study(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.normal(size=4000), rng.normal(3, 1, 500), rng.normal(-3, 1, 500)])
+        panel = make_panel([z])
+        return panel, bin_panel(panel, 50)
+
+    @pytest.mark.parametrize(
+        "pi0,threshold,reason",
+        [
+            (0.89, DEFAULT_EXCLUSION_THRESHOLD, None),
+            (0.999999999, DEFAULT_EXCLUSION_THRESHOLD,
+             "estimated null fraction 1 is at or above 0.999999999"),
+            (1.0, DEFAULT_EXCLUSION_THRESHOLD,
+             "estimated null fraction 1 is at or above 0.999999999"),
+            (0.97, 0.95, "estimated null fraction 0.97 is at or above 0.95"),
+            (0.97, 0.99, None),
+        ],
+    )
+    def test_null_fraction_below_the_threshold_qualifies(self, monkeypatch, study, pi0,
+                                                         threshold, reason):
+        assert 0.999999999 == DEFAULT_EXCLUSION_THRESHOLD  # the second case is the boundary
+        monkeypatch.setattr(twogroup, "estimate_pi0", lambda z: pi0)
+        fit = fit_study(*study, 0, exclusion_threshold=threshold)
+        assert fit.pi0_hat == pi0
+        assert fit.qualifies is (reason is None)
+        assert fit.exclusion_reason == reason
+        assert (fit.fA_hat is None) is (reason is not None)
 
 
 class TestFitPipeline:
