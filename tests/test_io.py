@@ -505,7 +505,7 @@ class TestTruthStatuses:
         assert snp_ids == tuple(f"rs{j}" for j in range(5))
         assert statuses == [[0, 1, -1, 0, 1], [1, 0, 0, -1, 1]]
 
-    @pytest.mark.parametrize("token", ["+1", " -1", "01", "1.0"])
+    @pytest.mark.parametrize("token", ["+1", " -1", "01", "1.0", "-0", "1 "])
     def test_only_the_written_status_tokens_are_read(self, tmp_path, token):
         # write_truth writes -1, 0 and 1; any other spelling of a status is refused
         path = base_files(tmp_path)["truth"]

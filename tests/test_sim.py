@@ -211,6 +211,12 @@ class TestContingencyZ:
             pearson_statistic(tables[2000])
         assert np.all(pearson_statistic(tables[:500]) == 0.0)
 
+    @pytest.mark.parametrize("transform", [z_from_tables, z_from_tables_contingency])
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3, 2)], ids=["lone table", "transposed stack"])
+    def test_only_stacks_of_2x3_tables_are_taken(self, transform, shape):
+        with pytest.raises(DataError, match=r"shape \(M, 2, 3\)"):
+            transform(np.ones(shape, dtype=np.int64))
+
     def test_sign_follows_trend_direction(self):
         rng = np.random.default_rng(10)
         theta = np.full(300, 0.5)
