@@ -128,6 +128,8 @@ def _read_table(path, header_cells):
         lines = next(blocks, [])
         if not lines:
             raise DataError(f"{path}: empty file")
+        if lines[0].startswith("\ufeff"):
+            raise DataError(f"{path}: line 1: starts with a byte-order mark (U+FEFF)")
         header = lines[0].split("\t")
         cells = header_cells(path, header)
         columns = [[], *(parse([]) for _, parse in cells)]
@@ -181,6 +183,8 @@ def _write_table(path, header: list[str], snp_ids, cells) -> None:
 def _zpanel_cells(path, header: list[str]):
     if header[0] != "snp_id" or len(header) < 2:
         raise DataError(f"{path}: line 1: header must be snp_id followed by study ids")
+    if "" in header:
+        raise DataError(f"{path}: line 1: column {header.index('') + 1} has an empty study id")
     return [(k, _floats) for k in range(1, len(header))]
 
 

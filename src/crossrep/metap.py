@@ -52,9 +52,11 @@ def _zero_strongest(log_tail: np.ndarray, u: int) -> None:
     """Zero, not subtract, each column's u - 1 most negative, the first of tied ones in
     study order: no host picks another. A column holding a NaN zeroes nothing."""
     for _ in range(u - 1):
-        strongest = log_tail == log_tail.min(axis=0)
-        strongest[1:] &= ~np.logical_or.accumulate(strongest[:-1], axis=0)
-        np.putmask(log_tail, strongest, 0.0)
+        low, pending = log_tail.min(axis=0), np.ones(log_tail.shape[1], dtype=bool)
+        for row in log_tail:  # in study order; pending marks columns not yet zeroed
+            hit = pending & (row == low)
+            np.putmask(row, hit, 0.0)
+            pending ^= hit
 
 
 def partial_conjunction_pvalues(z_panel, us) -> list[np.ndarray]:

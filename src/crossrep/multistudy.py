@@ -140,20 +140,17 @@ CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index inverse count
 # The (K, U) likelihood in sign-sparse form. Each study's sign at a bin is -1
 # where its -1 conditional is positive, else +1; a combo's likelihood vanishes
 # off the 2**n configurations with every h_i in {0, sign_i}. Combos sorted by
-# sign pattern fill blocks of one pattern each, zero-padded: WIDE columns for
-# patterns of at least WIDE combos, NARROW for the rest. left (2**(n//2), C)
-# and right (2**(n - n//2), C) are the Khatri-Rao halves over studies
-# 0..n//2-1 and the rest, a row per null/signed choice. batches are runs of
-# equal-width blocks (columns, left and right as (blocks, rows, width) views,
-# patterns); in a block of pattern p, column c has likelihood left[a, c] *
-# right[b, c] under configuration table[p, a, b]. slots (U,) is each combo's
-# column, combo (C,) each column's combo, and k = 3**n.
-SignSparse = namedtuple("SignSparse", "left right table batches slots combo k")
+# sign pattern fill blocks of BLOCK columns, one pattern each, zero-padded.
+# left (G, 2**(n//2), BLOCK) and right (G, 2**(n - n//2), BLOCK) are the
+# Khatri-Rao halves over studies 0..n//2-1 and the rest, a row per null/signed
+# choice: in block g, column c has likelihood left[g, a, c] * right[g, b, c]
+# under configuration configs[g, a, b]. runs are slices of blocks. slots (U,)
+# is each combo's column in the flat G * BLOCK columns, combo (G * BLOCK,)
+# each column's combo, and k = 3**n.
+SignSparse = namedtuple("SignSparse", "left right configs runs slots combo k")
 
-# Block widths. A pattern pads fewer than NARROW columns, or fewer than its own
-# count once it fills a WIDE block; one pattern can hold a quarter of all combos.
-WIDE, NARROW = 64, 8
-CHUNK = 2**16  # elements in the temporaries of one batch
+BLOCK = 64  # columns per block; a pattern pads fewer than BLOCK
+CHUNK = 2**16  # elements in the temporaries of one run
 
 
 def _collapse_bins(bin_index: np.ndarray):
@@ -206,70 +203,56 @@ def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSpars
         pattern |= neg[i, combos[:, i]].astype(np.uint16) << i
     order = np.argsort(pattern, kind="stable")  # a radix sort for a small unsigned key
     sizes = np.bincount(pattern, minlength=2**n)
-    narrow = sizes < WIDE
-    width = np.where(narrow, NARROW, WIDE)
-    blocks = -(-sizes // width)
-    ranked = np.argsort(narrow, kind="stable")  # patterns with WIDE blocks first
-    span = (blocks * width)[ranked]
-    start = np.empty_like(span)
-    start[ranked] = np.cumsum(span) - span
+    blocks = -(-sizes // BLOCK)
     slots = np.empty(u, dtype=np.intp)
-    slots[order] = (start - np.cumsum(sizes) + sizes)[pattern[order]] + np.arange(u)
-    combo = np.zeros(span.sum(), dtype=np.intp)
+    start = BLOCK * (np.cumsum(blocks) - blocks) - np.cumsum(sizes) + sizes
+    slots[order] = start[pattern[order]] + np.arange(u)
+    combo = np.zeros(BLOCK * blocks.sum(), dtype=np.intp)
     combo[slots] = np.arange(u)
-
-    bins = np.full((n, combo.size), cond.bin_count, dtype=combos.dtype)  # padding: an empty bin
-    bins[:, slots] = combos.T
-    null, signed = np.zeros((2, n, cond.bin_count + 1))
-    null[:, :-1], signed[:, :-1] = cond.probs[:, 1], cond.probs[:, 0] + cond.probs[:, 2]
-
-    def factors(studies):  # Khatri-Rao rows over the studies; bit j set: studies[j] signed
-        out = np.empty((2 ** len(studies), combo.size))
-        out[0] = 1.0
-        for j, i in enumerate(studies):
-            np.multiply(out[: 1 << j], signed[i, bins[i]], out=out[1 << j : 2 << j])
-            out[: 1 << j] *= null[i, bins[i]]
-        return out
 
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # of patterns and of choices
     table = np.zeros((2**n, 2**n), dtype=np.int64)  # configuration of (pattern, choice)
     for i in range(n):
         table = 3 * table + 1 + np.outer(1 - 2 * bits[:, i], bits[:, i])
     table = table.reshape(2**n, -1, 2**half).transpose(0, 2, 1).astype(np.min_scalar_type(3**n))
+    configs = np.repeat(table, blocks, axis=0)
+
+    null, signed = np.zeros((2, n, cond.bin_count + 1))
+    null[:, :-1], signed[:, :-1] = cond.probs[:, 1], cond.probs[:, 0] + cond.probs[:, 2]
+
+    def factors(studies):  # Khatri-Rao rows over the studies; bit j set: studies[j] signed
+        out = np.empty((len(configs), 2 ** len(studies), BLOCK))
+        out[:, 0] = 1.0
+        for j, i in enumerate(studies):
+            bins = np.full(combo.size, cond.bin_count, dtype=combos.dtype)  # padding: an empty bin
+            bins[slots] = combos[:, i]
+            bins = bins.reshape(-1, 1, BLOCK)
+            np.multiply(out[:, : 1 << j], signed[i, bins], out=out[:, 1 << j : 2 << j])
+            out[:, : 1 << j] *= null[i, bins]
+        return out
 
     left, right = factors(range(half)), factors(range(half, n))
-    block = np.repeat(ranked, blocks[ranked])
-    wide, batches = int(blocks[~narrow].sum()), []
-    for first, last, width in ((0, wide, WIDE), (wide, block.size, NARROW)):
-        runs = -(-(last - first) * left.shape[0] * (right.shape[0] + width) // CHUNK)
-        step = max(1, -(-(last - first) // max(runs, 1)))  # equal runs, no short remainder
-        for lo in range(first, last, step):
-            hi = min(lo + step, last)
-            begin = WIDE * min(lo, wide) + NARROW * max(lo - wide, 0)
-            cols = slice(begin, begin + (hi - lo) * width)
-            views = [a[:, cols].reshape(-1, hi - lo, width).transpose(1, 0, 2)
-                     for a in (left, right)]
-            batches.append((cols, *views, block[lo:hi]))
-    return SignSparse(left, right, table, batches, slots, combo, 3**n)
+    step = max(1, CHUNK // (left.shape[1] * (right.shape[1] + BLOCK)))
+    runs = [slice(lo, lo + step) for lo in range(0, len(configs), step)]
+    return SignSparse(left, right, configs, runs, slots, combo, 3**n)
 
 
 def _mixture(like: SignSparse, pi: np.ndarray) -> np.ndarray:
     """pi @ like, the (U,) mixture likelihood, by batched products over blocks."""
-    mix = np.empty(like.left.shape[1])
-    for cols, left, right, patterns in like.batches:
-        part = pi.take(like.table.take(patterns, axis=0)) @ right
-        np.einsum("gac,gac->gc", part, left, out=mix[cols].reshape(left.shape[0], -1))
+    mix = np.empty((like.left.shape[0], BLOCK))
+    for run in like.runs:
+        part = pi.take(like.configs[run]) @ like.right[run]
+        np.einsum("gac,gac->gc", part, like.left[run], out=mix[run])
     return mix.take(like.slots)
 
 
 def _direction(like: SignSparse, w: np.ndarray) -> np.ndarray:
     """like @ w, a (K,) vector: batched products over blocks, summed by configuration."""
-    weights = w.take(like.combo)  # padding columns are 0 in left or right
+    weights = w.take(like.combo).reshape(-1, 1, BLOCK)  # padding columns are 0 in right
     out = np.zeros(like.k)
-    for cols, left, right, patterns in like.batches:
-        part = (left * weights[cols].reshape(left.shape[0], 1, -1)) @ right.transpose(0, 2, 1)
-        index = like.table.take(patterns, axis=0).ravel()
-        out += np.bincount(index, part.ravel(), minlength=like.k)
+    for run in like.runs:
+        part = (like.left[run] * weights[run]) @ like.right[run].transpose(0, 2, 1)
+        out += np.bincount(like.configs[run].ravel(), part.ravel(), minlength=like.k)
     return out
 
 

@@ -55,9 +55,13 @@ class ZPanel:
         if len(snp_ids) < 1 or len(study_ids) < 1:
             raise DataError("panel needs at least one study and one snp")
         if len(set(snp_ids)) != len(snp_ids):
-            raise DataError("duplicate snp identifiers")
+            seen = set()  # the first id seen twice
+            repeat = next(s for s in snp_ids if s in seen or seen.add(s))
+            raise DataError(f"duplicate snp identifier {repeat!r}")
         if len(set(study_ids)) != len(study_ids):
             raise DataError("duplicate study identifiers")
+        if "" in study_ids:
+            raise DataError("empty study identifier")
         if not np.all(np.isfinite(z)):
             raise DataError("z-scores must all be finite")
         z.setflags(write=False)
@@ -324,7 +328,10 @@ def fit_study(
     pi0 = estimate_pi0(panel.z[study])
     centers = binned.centers[study]
     width = float(binned.widths[study])
-    f_hat = estimate_marginal_density(binned.counts(study), centers, width)
+    try:
+        f_hat = estimate_marginal_density(binned.counts(study), centers, width)
+    except FitError as exc:
+        raise FitError(f"study {panel.study_ids[study]!r}: {exc}") from exc
     fa = None
     reason = None
     qualifies = pi0 < exclusion_threshold

@@ -469,6 +469,8 @@ def _read_lines(path):
         lines = handle.read().splitlines()
     if not lines:
         raise cr.DataError(f"{path}: empty file")
+    if lines[0].startswith("\ufeff"):
+        raise cr.DataError(f"{path}: line 1: starts with a byte-order mark (U+FEFF)")
     return lines
 
 
@@ -508,6 +510,9 @@ def read_zpanel_rows(path):
     if header[0] != "snp_id" or len(header) < 2:
         raise cr.DataError(f"{path}: line 1: header must be snp_id followed by study ids")
     study_ids = header[1:]
+    for k, study in enumerate(study_ids, start=2):
+        if not study:
+            raise cr.DataError(f"{path}: line 1: column {k} has an empty study id")
     snp_ids = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):

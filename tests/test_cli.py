@@ -412,7 +412,7 @@ class TestErrorChannels:
         code = run(["analyze", "--input", sim_dir / "zpanel.tsv", "--out-dir", tmp_path])
         assert code == 4
         assert capsys.readouterr().err == (
-            "error: Poisson density fit did not converge in 1 iterations\n")
+            "error: study 'study_1': Poisson density fit did not converge in 1 iterations\n")
 
     @pytest.mark.parametrize(
         "flag", [["--em-tol", "-1"], ["--em-tol", "nan"], ["--em-tol", "inf"],

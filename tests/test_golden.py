@@ -25,7 +25,7 @@ GOLDEN_N3 = {
     "eb/fits.json":
         "88e776e823ae35e9fcce3755f5a453085318fa497b48abb91935fdcfa178db34",
     "eb/report_eb.tsv":
-        "7cb6331836fb8b5453950f6a5d6ccf02bbd4ad86650f5f0f288eebbc543bbf3c",
+        "3a7d9e2b6be5947d2731571031e1ac43324a67826e41430000d461e2a2046ec6",
     "eb/metrics.json":
         "c15eef4bee0a8f48a7416b876b3308be78865cedebd85747f28224f4a5297423",
     "meta/report_meta.tsv":

@@ -187,8 +187,11 @@ class TestUnreadableInput:
         ("report", "", "empty file"),
         ("zpanel", "snp_id\ta\tb\n", "no data rows"),
         ("report", "id\trejected_na\nrs1\t1\n", "first column must be snp_id"),
+        ("zpanel", "snp_id\ta\tb\t\nrs1\t1\t2\t\n", "line 1: column 4 has an empty study id"),
+        ("truth", "\ufeffsnp_id\th_a\ttheta_a\tmaf_a\nrs1\t0\t0\t0.1\n",
+         "line 1: starts with a byte-order mark (U+FEFF)"),
     ], ids=["zpanel-empty", "truth-empty", "report-empty", "zpanel-header-only",
-            "report-no-snp-id"])
+            "report-no-snp-id", "zpanel-trailing-tab", "truth-byte-order-mark"])
     def test_file_without_a_table_is_data_error(self, tmp_path, reader, text, message):
         path = tmp_path / "file.tsv"
         path.write_text(text)
@@ -228,7 +231,7 @@ def id_lists(draw, min_size=1):
 @st.composite
 def panels(draw):
     snp_ids = draw(id_lists())
-    study_ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+    study_ids = draw(st.lists(IDS.filter(bool), min_size=1, max_size=8, unique=True))
     values = draw(st.lists(FINITE, min_size=len(snp_ids) * len(study_ids),
                            max_size=len(snp_ids) * len(study_ids)))
     z = np.array(values, dtype=float).reshape(len(study_ids), len(snp_ids))
@@ -400,10 +403,15 @@ FAULTS = [
     ("truth", "fractional status", 1, "1.0"),
     ("report", "bad flag", 3, "yes"),
     ("report", "numeric flag", 6, "1.0"),
-]
+    ("zpanel", "trailing tab", None, None),
+    ("zpanel", "empty study id", 2, ""),
+] + [(reader, "byte-order mark", None, None) for reader in READERS]
+HEADER_FAULTS = ("byte-order mark", "trailing tab", "empty study id")  # these go to line 1
 
 
-def inject(path, lineno, fault, column, token):
+def inject(path, lineno, fault, column, token) -> int:
+    """Put the fault on line lineno, or on line 1 for a header fault; return that line."""
+    lineno = 1 if fault in HEADER_FAULTS else lineno
     lines = path.read_text().splitlines()
     fields = lines[lineno - 1].split("\t")
     if fault == "blank line":
@@ -412,10 +420,15 @@ def inject(path, lineno, fault, column, token):
         fields = fields[:-1]
     elif fault == "extra field":
         fields = fields + ["0"]
+    elif fault == "trailing tab":
+        fields = fields + [""]
+    elif fault == "byte-order mark":
+        fields[0] = "\ufeff" + fields[0]
     else:
         fields[column] = token
     lines[lineno - 1] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
+    return lineno
 
 
 def outcome(reader, path):
@@ -432,7 +445,7 @@ class TestErrorParity:
     def test_message_matches_row_oracle(self, tmp_path, reader, fault, column, token,
                                         lineno):
         path = base_files(tmp_path)[reader]
-        inject(path, lineno, fault, column, token)
+        lineno = inject(path, lineno, fault, column, token)
         new, oracle = READERS[reader]
         message = outcome(new, path)
         assert message is not None and f": line {lineno}: " in message
@@ -573,7 +586,7 @@ class TestLaterBlocks:
     def test_message_matches_row_oracle(self, tmp_path, reader, fault, column, token,
                                         lineno):
         path = large_files(tmp_path)[reader]
-        inject(path, lineno, fault, column, token)
+        lineno = inject(path, lineno, fault, column, token)
         new, oracle = READERS[reader]
         message = outcome(new, path)
         assert message is not None and f": line {lineno}: " in message

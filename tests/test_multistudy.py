@@ -496,13 +496,56 @@ class TestCollapsedLikelihood:
         cond = analytic_conditionals(1, b=10)
         combos = np.arange(10, dtype=np.int32)[:, None]
         like = ms._sign_sparse(cond, combos)
-        assert like.left.shape == (1, like.right.shape[1]) and np.all(like.left == 1.0)
-        assert like.right.shape[0] == 2
-        assert np.issubdtype(like.table.dtype, np.integer)
+        # five bins of each sign: one block per sign pattern
+        assert like.left.shape == (2, 1, ms.BLOCK) and np.all(like.left == 1.0)
+        assert like.right.shape == (2, 2, ms.BLOCK)
+        assert like.configs.shape == (2, 1, 2) and like.configs.dtype == np.uint8
         dense = ms._likelihood_matrix(cond, ms._status_index_matrix(cr.enumerate_configurations(1)), combos)
         pi = np.array([0.2, 0.5, 0.3])
         assert_allclose(ms._mixture(like, pi), pi @ dense, rtol=0, atol=1e-15)
         assert_allclose(ms._direction(like, np.ones(10)), dense.sum(axis=1), rtol=0, atol=1e-15)
+
+    def test_blocks_and_runs_match_the_dense_likelihood(self, monkeypatch):
+        # sign patterns of no combo, one, a block but one, a block, a block and one, two and one
+        sizes = [0, 1, 63, 64, 65, 129, 1, 0]
+        n, half_rows, rows = 3, 2, 4
+        monkeypatch.setattr(ms, "CHUNK", 2 * half_rows * (rows + ms.BLOCK))  # two blocks a run
+        rng = np.random.default_rng(5)
+        cond = random_conditionals(rng, n, 20)
+        neg = cond.probs[:, 0] > 0
+        combos = np.concatenate([
+            np.column_stack([rng.choice(np.flatnonzero(neg[i] == (p >> i) & 1), size)
+                             for i in range(n)])
+            for p, size in enumerate(sizes)
+        ])
+        combos = rng.permutation(combos)
+        like = ms._sign_sparse(cond, combos)
+        assert like.left.shape == (9, half_rows, ms.BLOCK)
+        assert like.right.shape == (9, rows, ms.BLOCK)
+        assert [len(like.configs[run]) for run in like.runs] == [2, 2, 2, 2, 1]
+        dense = ms._likelihood_matrix(cond, ms._status_index_matrix(cr.enumerate_configurations(n)), combos)
+        pi, w = rng.dirichlet(np.ones(3**n)), rng.uniform(size=len(combos))
+        assert_allclose(ms._mixture(like, pi), pi @ dense, rtol=1e-13, atol=0)
+        assert_allclose(ms._direction(like, w), dense @ w, rtol=1e-13, atol=0)
+
+    def test_runs_bound_the_temporaries(self):
+        rng = np.random.default_rng(9)
+        n, m = 8, 20_000
+        cond = random_conditionals(rng, n, 8)
+        combos, _, counts = ms._collapse_bins(rng.integers(0, 8, size=(n, m)))
+        like = ms._sign_sparse(cond, combos)
+        pi = np.full(3**n, 3.0**-n)
+        # one run of every block would take left.size + configs.size elements at once
+        one_run = (like.left.size + like.configs.size) * 8
+        columns = like.combo.size * 8  # the (G, BLOCK) mixture and the gathered weights
+        tracemalloc.start()
+        try:
+            ms._direction(like, counts / ms._mixture(like, pi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert one_run > 4 * ms.CHUNK * 8
+        assert peak < 2 * ms.CHUNK * 8 + 2 * columns
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

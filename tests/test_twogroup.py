@@ -40,6 +40,14 @@ class TestPanelValidation:
         with pytest.raises(DataError):
             ZPanel(("a", "a"), ("x",), np.array([[1.0, 2.0]]))
 
+    def test_duplicate_message_names_the_first_id_seen_twice(self):
+        with pytest.raises(DataError, match=r"^duplicate snp identifier 'c'$"):
+            ZPanel(("b", "c", "c", "b"), ("x",), np.zeros((1, 4)))
+
+    def test_rejects_empty_study_id(self):
+        with pytest.raises(DataError, match=r"^empty study identifier$"):
+            ZPanel(("a",), ("x", ""), np.zeros((2, 1)))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DataError):
             ZPanel(("a", "b"), ("x",), np.array([[1.0, 2.0], [3.0, 4.0]]))
