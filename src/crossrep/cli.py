@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import io
 from .errors import (DEFAULT_BIN_COUNT, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, ConfigError,
-                     CrossrepError, DataError, bin_count, em_iterations, em_tolerance, fdr_level)
+                     CrossrepError, DataError, bin_count, em_iterations, em_tolerance,
+                     enough_studies, fdr_level)
 
 # Hypothesis label -> u: its null holds while fewer than u studies share a sign.
 _HYP_LABELS = {"na": 1, "nr": 2}
@@ -79,6 +80,7 @@ def cmd_compare(args, out: Path) -> None:
     from . import metap
     nulls = _nulls(args.hypothesis)
     panel = io.read_zpanel(args.input)
+    enough_studies(nulls, panel.n_studies)  # a u the panel cannot test exits 4, as in analyze
     pvalues = metap.partial_conjunction_pvalues(panel.z, list(nulls.values()))
     columns = {
         label: {"p": p, "p_adjusted": metap.bh_adjust(p), "rejected": metap.bh_procedure(p, args.q)}

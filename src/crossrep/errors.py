@@ -75,6 +75,13 @@ class ModelError(CrossrepError):
     exit_code = 4
 
 
+def enough_studies(nulls: dict, n: int, studies: str = "studies") -> None:
+    """A ModelError for the first label -> u of nulls whose u exceeds the n studies."""
+    for label, u in nulls.items():
+        if n < u:
+            raise ModelError(f"the {label} analysis needs at least u = {u} {studies}, got {n}")
+
+
 class FitError(ModelError):
     """Iterative density fit did not converge."""
 

@@ -124,7 +124,10 @@ def _read_table(path, header_cells):
     parser) pairs in the order a line is checked.
     """
     with _reading(path) as handle:
-        blocks = iter(lambda: "".join(handle.readlines(_READ_BLOCK)).splitlines(), [])
+        # readlines ends a line at LF alone (text mode reads CRLF and CR as LF), where
+        # str.splitlines also ends one at VT, FF, U+001C-U+001E, U+0085, U+2028 and U+2029
+        blocks = iter(lambda: [line.removesuffix("\n")
+                               for line in handle.readlines(_READ_BLOCK)], [])
         lines = next(blocks, [])
         if not lines:
             raise DataError(f"{path}: empty file")
@@ -244,11 +247,8 @@ def write_analysis_report(path, snp_ids, reports: dict) -> None:
     header, cells = ["snp_id"], []
     for label, report in reports.items():
         header += [f"local_fdr_{label}", f"fdr_{label}", f"rejected_{label}"]
-        cells += [
-            ("%.6g", report.local_fdr),
-            ("%.6g", report.fdr_estimate),
-            ("%d", report.rejected),
-        ]
+        cells += [("%.6g", report.local_fdr), ("%.6g", report.fdr_estimate),
+                  ("%d", report.rejected)]
     _write_table(path, header, snp_ids, cells)
 
 

@@ -111,14 +111,7 @@ def no_replicability_pvalues(z_panel: np.ndarray) -> np.ndarray:
 def bh_procedure(p, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rejections at level q (boolean mask)."""
     q = fdr_level(q)
-    values = _checked(p)
-    m = values.size
-    p_sorted = np.sort(values)
-    ok = p_sorted * m / np.arange(1, m + 1) <= q
-    if not np.any(ok):
-        return np.zeros(m, dtype=bool)
-    threshold = p_sorted[np.nonzero(ok)[0][-1]]
-    return values <= threshold
+    return bh_adjust(p) <= q
 
 
 def bh_adjust(p) -> np.ndarray:

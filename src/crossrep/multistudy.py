@@ -10,7 +10,7 @@ values into the level-q rejection rule; analyze runs the whole pipeline.
 
 The signed densities are truncated to their half-lines, so a feature's
 likelihood is zero on all but 2**n of the 3**n configurations; EM,
-posteriors and local FDR work on that sign-sparse form (SignSparse) alone.
+posteriors and local FDR work on that sign-sparse form (Likelihood) alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .configspace import HypothesisSet, enumerate_configurations, null_subset
 from .errors import (EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL, DataError, DegenerateAlternativeError,
-                     ModelError, em_iterations, em_tolerance, fdr_level)
+                     ModelError, em_iterations, em_tolerance, enough_studies, fdr_level)
 from .twogroup import BinnedPanel, TwoGroupFit, half_line, null_bin_density
 
 
@@ -106,9 +106,7 @@ class ConfigModel:
     # Lindsay's bound on L(best pi) - L(pi) in nats; None when pi was not fit by em_fit
     em_gap: float | None = None
     # set by em_fit, never by __init__, so dataclasses.replace cannot carry it stale
-    likelihood: CollapsedLikelihood | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    likelihood: Likelihood | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -133,21 +131,18 @@ def _status_index_matrix(space) -> np.ndarray:
     return np.array(space, dtype=np.int8) + 1  # (K, n) with values 0, 1, 2
 
 
-# A panel's bin_index (n, M), each feature's combo (M,) among its distinct bin
-# combos in lexicographic order, combo counts (U,) and their SignSparse like.
-CollapsedLikelihood = namedtuple("CollapsedLikelihood", "bin_index inverse counts like")
-
-# The (K, U) likelihood in sign-sparse form. Each study's sign at a bin is -1
-# where its -1 conditional is positive, else +1; a combo's likelihood vanishes
-# off the 2**n configurations with every h_i in {0, sign_i}. Combos sorted by
-# sign pattern fill blocks of BLOCK columns, one pattern each, zero-padded.
-# left (G, 2**(n//2), BLOCK) and right (G, 2**(n - n//2), BLOCK) are the
-# Khatri-Rao halves over studies 0..n//2-1 and the rest, a row per null/signed
-# choice: in block g, column c has likelihood left[g, a, c] * right[g, b, c]
-# under configuration configs[g, a, b]. runs are slices of blocks. slots (U,)
-# is each combo's column in the flat G * BLOCK columns, combo (G * BLOCK,)
-# each column's combo, and k = 3**n.
-SignSparse = namedtuple("SignSparse", "left right configs runs slots combo k")
+# A panel's likelihood in sign-sparse form: its bin_index (n, M), each feature's
+# combo (M,) among its U distinct bin combos in lexicographic order and their
+# counts (U,). Each study's sign at a bin is -1 where its -1 conditional is
+# positive, else +1; a combo's likelihood vanishes off the 2**n configurations
+# with every h_i in {0, sign_i}. Combos sorted by sign pattern fill blocks of
+# BLOCK columns, one pattern each, zero-padded. left (G, 2**(n//2), BLOCK) and
+# right (G, 2**(n - n//2), BLOCK) are the Khatri-Rao halves over studies
+# 0..n//2-1 and the rest, a row per null/signed choice: in block g, column c
+# has likelihood left[g, a, c] * right[g, b, c] under configuration
+# configs[g, a, b]. runs are slices of blocks, slots (U,) each combo's column
+# in the flat G * BLOCK columns, and k = 3**n.
+Likelihood = namedtuple("Likelihood", "bin_index inverse counts left right configs runs slots k")
 
 BLOCK = 64  # columns per block; a pattern pads fewer than BLOCK
 CHUNK = 2**16  # elements in the temporaries of one run
@@ -189,8 +184,9 @@ def _likelihood_matrix(
     return like
 
 
-def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSparse:
-    """The SignSparse likelihood of the distinct combos under truncated conditionals."""
+def _likelihood(bin_index: np.ndarray, cond: ConditionalBinDensities) -> Likelihood:
+    """The Likelihood of a panel's bin_index under truncated conditionals."""
+    combos, inverse, counts = _collapse_bins(bin_index)
     n, u, half = cond.n_studies, combos.shape[0], cond.n_studies // 2
     neg = cond.probs[:, 0] > 0
     both = np.argwhere(neg & (cond.probs[:, 2] > 0))
@@ -207,8 +203,6 @@ def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSpars
     slots = np.empty(u, dtype=np.intp)
     start = BLOCK * (np.cumsum(blocks) - blocks) - np.cumsum(sizes) + sizes
     slots[order] = start[pattern[order]] + np.arange(u)
-    combo = np.zeros(BLOCK * blocks.sum(), dtype=np.intp)
-    combo[slots] = np.arange(u)
 
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # of patterns and of choices
     table = np.zeros((2**n, 2**n), dtype=np.int64)  # configuration of (pattern, choice)
@@ -224,9 +218,8 @@ def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSpars
         out = np.empty((len(configs), 2 ** len(studies), BLOCK))
         out[:, 0] = 1.0
         for j, i in enumerate(studies):
-            bins = np.full(combo.size, cond.bin_count, dtype=combos.dtype)  # padding: an empty bin
-            bins[slots] = combos[:, i]
-            bins = bins.reshape(-1, 1, BLOCK)
+            bins = np.full((len(configs), 1, BLOCK), cond.bin_count, dtype=combos.dtype)
+            bins.ravel()[slots] = combos[:, i]  # padding: an empty bin
             np.multiply(out[:, : 1 << j], signed[i, bins], out=out[:, 1 << j : 2 << j])
             out[:, : 1 << j] *= null[i, bins]
         return out
@@ -234,10 +227,10 @@ def _sign_sparse(cond: ConditionalBinDensities, combos: np.ndarray) -> SignSpars
     left, right = factors(range(half)), factors(range(half, n))
     step = max(1, CHUNK // (left.shape[1] * (right.shape[1] + BLOCK)))
     runs = [slice(lo, lo + step) for lo in range(0, len(configs), step)]
-    return SignSparse(left, right, configs, runs, slots, combo, 3**n)
+    return Likelihood(bin_index, inverse, counts, left, right, configs, runs, slots, 3**n)
 
 
-def _mixture(like: SignSparse, pi: np.ndarray) -> np.ndarray:
+def _mixture(like: Likelihood, pi: np.ndarray) -> np.ndarray:
     """pi @ like, the (U,) mixture likelihood, by batched products over blocks."""
     mix = np.empty((like.left.shape[0], BLOCK))
     for run in like.runs:
@@ -246,20 +239,15 @@ def _mixture(like: SignSparse, pi: np.ndarray) -> np.ndarray:
     return mix.take(like.slots)
 
 
-def _direction(like: SignSparse, w: np.ndarray) -> np.ndarray:
+def _direction(like: Likelihood, w: np.ndarray) -> np.ndarray:
     """like @ w, a (K,) vector: batched products over blocks, summed by configuration."""
-    weights = w.take(like.combo).reshape(-1, 1, BLOCK)  # padding columns are 0 in right
+    weights = np.zeros((len(like.configs), 1, BLOCK))  # padding columns weigh 0
+    weights.ravel()[like.slots] = w
     out = np.zeros(like.k)
     for run in like.runs:
         part = (like.left[run] * weights[run]) @ like.right[run].transpose(0, 2, 1)
         out += np.bincount(like.configs[run].ravel(), part.ravel(), minlength=like.k)
     return out
-
-
-def _collapsed_likelihood(bin_index, cond) -> CollapsedLikelihood:
-    combos, inverse, counts = _collapse_bins(bin_index)
-    like = _sign_sparse(cond, combos)
-    return CollapsedLikelihood(bin_index, inverse, counts, like)
 
 
 def _check_mixture(mixture: np.ndarray, inverse: np.ndarray, snp_ids) -> None:
@@ -290,34 +278,30 @@ def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, tol: float = EM_D
     k = 3**cond.n_studies
     m = binned.n_snps
     if m < k:
-        warnings.warn(
-            f"{m} features for {k} configurations; weight estimates will be noisy",
-            stacklevel=2,
-        )
+        warnings.warn(f"{m} features for {k} configurations; weight estimates will be noisy",
+                      stacklevel=2)
     pi = np.full(k, 1.0 / k)
-    collapsed = _collapsed_likelihood(binned.bin_index, cond)
-    like, counts = collapsed.like, collapsed.counts
+    like = _likelihood(binned.bin_index, cond)
 
     trace = []
     converged = False
     for iteration in range(max_iter):
         mixture = _mixture(like, pi)
-        _check_mixture(mixture, collapsed.inverse, snp_ids)
-        loglik = float((counts * np.log(mixture)).sum())
+        _check_mixture(mixture, like.inverse, snp_ids)
+        loglik = float((like.counts * np.log(mixture)).sum())
         trace.append(loglik)
         if iteration > 0 and abs(loglik - trace[-2]) <= tol * abs(trace[-2]):
             converged = True
             break
-        pi = pi * _direction(like, counts / mixture) / m
+        pi = pi * _direction(like, like.counts / mixture) / m
         pi /= pi.sum()
     em_trace = np.array(trace)
     if not converged:  # pi moved after the last mixture
         mixture = _mixture(like, pi)
-    gap = m * float(np.log(_direction(like, counts / mixture).max() / m))
+    gap = m * float(np.log(_direction(like, like.counts / mixture).max() / m))
     if not converged:
-        change = float("nan")
-        if len(trace) > 1:
-            change = abs(em_trace[-1] - em_trace[-2]) / abs(em_trace[-2])
+        change = (abs(em_trace[-1] - em_trace[-2]) / abs(em_trace[-2]) if len(trace) > 1
+                  else float("nan"))
         warnings.warn(
             f"EM did not converge in {len(trace)} iterations "
             f"(last relative change {change:.3g}, tolerance {tol:g}, "
@@ -327,7 +311,7 @@ def em_fit(binned: BinnedPanel, cond: ConditionalBinDensities, tol: float = EM_D
 
     model = ConfigModel(pi=pi, conditionals=cond, em_trace=em_trace, converged=converged,
                         n_iter=len(trace), em_gap=gap)
-    object.__setattr__(model, "likelihood", collapsed)
+    object.__setattr__(model, "likelihood", like)
     return model
 
 
@@ -335,8 +319,8 @@ def posterior(snp_bins, model: ConfigModel) -> np.ndarray:
     """Posterior configuration probabilities for one feature's bin vector."""
     if len(snp_bins) != model.n_studies:
         raise DataError("bin vector length must equal the model's study count")
-    like = _sign_sparse(model.conditionals, np.reshape(snp_bins, (1, -1)))
-    weights = model.pi * _direction(like, np.ones(1))
+    like = _likelihood(np.reshape(snp_bins, (-1, 1)), model.conditionals)
+    weights = model.pi * _direction(like, like.counts)
     total = weights.sum()
     if total <= 0.0:
         raise ModelError("zero posterior normalizer for the given bin vector")
@@ -348,16 +332,16 @@ def local_fdr_panel(binned: BinnedPanel, model: ConfigModel, null_set: Hypothesi
     """Vector of local FDR values for every feature in the panel."""
     if null_set.n != model.n_studies or binned.n_studies != model.n_studies:
         raise DataError("panel, model and hypothesis set disagree on study count")
-    collapsed = model.likelihood
-    if collapsed is None or collapsed.bin_index is not binned.bin_index:
-        collapsed = _collapsed_likelihood(binned.bin_index, model.conditionals)
+    like = model.likelihood
+    if like is None or like.bin_index is not binned.bin_index:
+        like = _likelihood(binned.bin_index, model.conditionals)
     # one contraction for both, so a feature with no non-null likelihood gets exactly 1
     null_pi = model.pi * np.isin(np.arange(model.pi.size), null_set.members)
-    numer = _mixture(collapsed.like, null_pi)
-    denom = _mixture(collapsed.like, model.pi)
-    _check_mixture(denom, collapsed.inverse, snp_ids)
+    numer = _mixture(like, null_pi)
+    denom = _mixture(like, model.pi)
+    _check_mixture(denom, like.inverse, snp_ids)
     lf = np.minimum(numer / denom, 1.0)
-    return lf[collapsed.inverse]
+    return lf[like.inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,14 +392,7 @@ def fdr_report(
     rejected = fdr_estimate <= q
     k = int(np.count_nonzero(rejected))
     t_hat = float(lf_sorted[k - 1]) if k else 0.0
-    return DiscoveryReport(
-        hypothesis=hypothesis,
-        q=float(q),
-        local_fdr=lf,
-        fdr_estimate=fdr_estimate,
-        t_hat=t_hat,
-        rejected=rejected,
-    )
+    return DiscoveryReport(hypothesis, float(q), lf, fdr_estimate, t_hat, rejected)
 
 
 # The qualifying studies' indices, the model fit on them, a DiscoveryReport per null label
@@ -429,10 +406,7 @@ def analyze(binned: BinnedPanel, fits: list[TwoGroupFit], nulls: dict, q: float,
     label -> u of nulls at level q. A u above the qualifying count is a ModelError, raised
     before EM runs."""
     included = [i for i, fit in enumerate(fits) if fit.qualifies]
-    for label, u in nulls.items():
-        if len(included) < u:
-            raise ModelError(f"the {label} analysis needs at least u = {u} qualifying studies,"
-                             f" got {len(included)}")
+    enough_studies(nulls, len(included), "qualifying studies")
     sub = binned.select_studies(included)
     cond = build_conditionals([fits[i] for i in included], sub)
     # panel by position, options by keyword: a timer re-runs em_fit(*args, **{**kwargs, ...})

@@ -25,7 +25,7 @@ import numpy as np
 
 from .configspace import enumerate_configurations, null_truth_mask, validate_configuration
 from .errors import ConfigError, DataError
-from .twogroup import ZPanel
+from .twogroup import ZPanel, field_ids
 
 DOSE_SCORES = np.array([0.0, 0.5, 1.0])
 
@@ -141,7 +141,7 @@ class TruthPanel:
             raise DataError("statuses must be -1, 0 or +1")
         if np.any(np.sign(theta) != statuses):
             raise DataError("effect sign must match the status (zero iff null)")
-        object.__setattr__(self, "snp_ids", tuple(str(s) for s in self.snp_ids))
+        object.__setattr__(self, "snp_ids", field_ids(self.snp_ids, "snp"))
         object.__setattr__(self, "statuses", statuses)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "maf", maf)

@@ -34,6 +34,19 @@ _CENTRAL_LO = np.float64(-0.6744897501960817)  # scipy.special.ndtri(0.25), bit 
 _CENTRAL_HI = np.float64(0.6744897501960817)  # scipy.special.ndtri(0.75)
 
 
+def _breaks(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text  # where the readers end a field or line
+
+
+def field_ids(ids, kind: str) -> tuple:
+    """ids as strings that a TSV field holds: an id with a tab, LF or CR is refused."""
+    ids = tuple(map(str, ids))
+    if _breaks("".join(ids)):
+        bad = next(filter(_breaks, ids))
+        raise DataError(f"{kind} identifier {bad!r} holds a tab or a line break")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class ZPanel:
     """n x M matrix of study z-scores with feature and study identifiers."""
@@ -43,23 +56,19 @@ class ZPanel:
     z: np.ndarray
 
     def __post_init__(self):
-        snp_ids = tuple(map(str, self.snp_ids))
-        study_ids = tuple(map(str, self.study_ids))
+        snp_ids, study_ids = field_ids(self.snp_ids, "snp"), field_ids(self.study_ids, "study")
         z = np.array(self.z, dtype=float)
         if z.ndim != 2:
             raise DataError("z must be a 2-d array of shape (n_studies, n_snps)")
         if z.shape != (len(study_ids), len(snp_ids)):
-            raise DataError(
-                f"z has shape {z.shape}, expected ({len(study_ids)}, {len(snp_ids)})"
-            )
+            raise DataError(f"z has shape {z.shape}, expected ({len(study_ids)}, {len(snp_ids)})")
         if len(snp_ids) < 1 or len(study_ids) < 1:
             raise DataError("panel needs at least one study and one snp")
-        if len(set(snp_ids)) != len(snp_ids):
-            seen = set()  # the first id seen twice
-            repeat = next(s for s in snp_ids if s in seen or seen.add(s))
-            raise DataError(f"duplicate snp identifier {repeat!r}")
-        if len(set(study_ids)) != len(study_ids):
-            raise DataError("duplicate study identifiers")
+        for kind, ids in (("snp", snp_ids), ("study", study_ids)):
+            if len(set(ids)) != len(ids):
+                seen = set()  # the first id seen twice
+                repeat = next(s for s in ids if s in seen or seen.add(s))
+                raise DataError(f"duplicate {kind} identifier {repeat!r}")
         if "" in study_ids:
             raise DataError("empty study identifier")
         if not np.all(np.isfinite(z)):

@@ -256,6 +256,16 @@ def stable_bh_adjust(p):
     return adjusted
 
 
+def stepup_rejections(p, q):
+    """Benjamini-Hochberg by the step-up definition, one p at a time: reject every p at or
+    below the largest p_(k) with p_(k) * M / k <= q (bh_adjust's scaling), else none."""
+    p = [float(x) for x in p]
+    m = len(p)
+    passing = [x for k, x in enumerate(sorted(p), start=1) if x * m / k <= q]
+    threshold = passing[-1] if passing else -1.0
+    return np.array([x <= threshold for x in p], dtype=bool)
+
+
 def lexsort_fdr_report(lf, q):
     """(fdr_estimate, t_hat, rejected) of multistudy.fdr_report, ranked by lexsort
     on (local FDR, index): every tie group in input order, -0 read as +0."""
@@ -464,9 +474,10 @@ def unique_rows_collapse(bin_index):
 # header, as the status column always did.
 
 def _read_lines(path):
-    """Every line of a text file, read whole; an empty file is a DataError."""
+    """Every line of a text file, read whole, split at LF alone; an empty file is a DataError."""
     with cio._reading(path) as handle:
-        lines = handle.read().splitlines()
+        text = handle.read()
+    lines = text.removesuffix("\n").split("\n") if text else []
     if not lines:
         raise cr.DataError(f"{path}: empty file")
     if lines[0].startswith("\ufeff"):

@@ -244,15 +244,16 @@ class TestCompare:
             "p_na", "p_adj_na", "rejected_na",
         ]
 
-    def test_single_study_with_nr_is_config_error(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        panel = ZPanel(("rs1", "rs2"), ("solo",), rng.normal(size=(1, 2)))
-        write_zpanel(panel, tmp_path / "panel.tsv")
-        code = run(
-            ["compare", "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path]
-        )
-        assert code == 2
-        assert "number of studies (1), got u = 2" in capsys.readouterr().err
+    def test_single_study_with_nr_is_a_model_error_in_both_commands(self, tmp_path, capsys):
+        # default flags ask for nr, which one study cannot test: exit 4 from both, not 2
+        rng = np.random.default_rng(2)
+        z = np.concatenate([rng.normal(size=1800), rng.normal(3, 1, size=200)])
+        write_zpanel(ZPanel(tuple(f"rs{j}" for j in range(2000)), ("solo",), z[None, :]),
+                     tmp_path / "panel.tsv")
+        for command, studies in (("analyze", "qualifying studies"), ("compare", "studies")):
+            code = run([command, "--input", tmp_path / "panel.tsv", "--out-dir", tmp_path])
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert (code, last) == (4, f"error: the nr analysis needs at least u = 2 {studies}, got 1")
 
 
 class TestEvaluate:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossrep.io as cio
@@ -365,6 +365,32 @@ class TestColumnarCodec:
         report_codec_case(ids_and_columns)
 
 
+# Any character but a surrogate, and often one that str.splitlines breaks a line at (VT,
+# FF, FS, NEL, LS, PS) or one the readers end a field or line at (tab, LF, CR).
+ANY_IDS = st.text(st.characters(blacklist_categories=("Cs",))
+                  | st.sampled_from("\t\n\r\x0b\x0c\x1c\x85\u2028\u2029"), max_size=6)
+
+
+class TestIdRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(snp_ids=st.lists(ANY_IDS, min_size=1, max_size=6, unique=True),
+           study_ids=st.lists(ANY_IDS.filter(bool), min_size=1, max_size=3, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    @example(snp_ids=["rs1\x0brs2", "rs3"], study_ids=["a"], seed=0)
+    @example(snp_ids=["a\tb"], study_ids=["s\u2028"], seed=1)
+    @example(snp_ids=["rs1"], study_ids=["s\t1", "\x85"], seed=2)
+    def test_an_accepted_panel_reads_back_as_written(self, snp_ids, study_ids, seed):
+        # ZPanel refuses what the readers would split; every other id comes back as written
+        z = np.random.default_rng(seed).normal(scale=1e3, size=(len(study_ids), len(snp_ids)))
+        try:
+            panel = ZPanel(tuple(snp_ids), tuple(study_ids), z)
+        except DataError as exc:
+            assert str(exc).endswith("holds a tab or a line break")
+            assert any(c in "".join(snp_ids + study_ids) for c in "\t\n\r")
+            return
+        zpanel_codec_case(panel)
+
+
 def base_files(tmp_path):
     """A valid zpanel, truth and report file, each with five data lines."""
     rng = np.random.default_rng(4)
@@ -405,14 +431,15 @@ FAULTS = [
     ("report", "numeric flag", 6, "1.0"),
     ("zpanel", "trailing tab", None, None),
     ("zpanel", "empty study id", 2, ""),
-] + [(reader, "byte-order mark", None, None) for reader in READERS]
+] + [(reader, fault, None, None) for reader in READERS
+      for fault in ("byte-order mark", "vertical tab")]
 HEADER_FAULTS = ("byte-order mark", "trailing tab", "empty study id")  # these go to line 1
 
 
 def inject(path, lineno, fault, column, token) -> int:
     """Put the fault on line lineno, or on line 1 for a header fault; return that line."""
     lineno = 1 if fault in HEADER_FAULTS else lineno
-    lines = path.read_text().splitlines()
+    lines = path.read_text().removesuffix("\n").split("\n")
     fields = lines[lineno - 1].split("\t")
     if fault == "blank line":
         fields = [""]
@@ -424,6 +451,8 @@ def inject(path, lineno, fault, column, token) -> int:
         fields = fields + [""]
     elif fault == "byte-order mark":
         fields[0] = "\ufeff" + fields[0]
+    elif fault == "vertical tab":  # a second row after a VT, which str.splitlines splits off
+        fields = [*fields[:-1], fields[-1] + "\x0bvt", *fields[1:]]
     else:
         fields[column] = token
     lines[lineno - 1] = "\t".join(fields)

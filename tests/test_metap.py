@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, norm
 
@@ -27,6 +28,7 @@ from helpers import (
     partial_conjunction_pvalue,
     stable_bh_adjust,
     stable_zero_strongest,
+    stepup_rejections,
 )
 
 
@@ -311,17 +313,27 @@ class TestBhProcedure:
         for _ in range(25):
             p = rng.uniform(size=rng.integers(1, 300))
             q = rng.uniform(0.01, 0.3)
-            assert np.array_equal(bh_procedure(p, q), bh_adjust(p) <= q)
+            assert np.array_equal(stepup_rejections(p, q), bh_adjust(p) <= q)
         # every p and adjusted p one ulp above q: nothing is rejected
         p = np.full(3, np.nextafter(0.05, 1))
-        assert not bh_procedure(p, 0.05).any() and not (bh_adjust(p) <= 0.05).any()
+        assert not stepup_rejections(p, 0.05).any() and not (bh_adjust(p) <= 0.05).any()
         # j values at q * j / m, the rest at 1: both sides round p * m / j alike
         for q in (0.01, 0.05, 0.1, 0.2):
             for m in range(1, 60):
                 for j in range(1, m + 1):
                     p = np.ones(m)
                     p[:j] = q * j / m
-                    assert np.array_equal(bh_procedure(p, q), bh_adjust(p) <= q)
+                    assert np.array_equal(stepup_rejections(p, q), bh_adjust(p) <= q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=TIED_UNIT_VALUES
+        | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)
+        | st.lists(st.floats(0.0, 1.0).map(lambda x: x**3), min_size=1, max_size=60),
+        q=st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.2, 0.5]),
+    )
+    def test_rejections_are_the_stepup_definition(self, p, q):
+        assert bh_procedure(p, q).tolist() == stepup_rejections(p, q).tolist()
 
     def test_adjusted_pvalues_are_monotone_in_p(self):
         rng = np.random.default_rng(4)

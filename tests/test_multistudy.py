@@ -441,8 +441,8 @@ class TestCollapsedLikelihood:
 
     def test_fit_and_both_reports_build_the_likelihood_once(self, monkeypatch):
         calls = []
-        build = ms._sign_sparse
-        monkeypatch.setattr(ms, "_sign_sparse", lambda *args: calls.append(1) or build(*args))
+        build = ms._likelihood
+        monkeypatch.setattr(ms, "_likelihood", lambda *args: calls.append(1) or build(*args))
         rng, binned, model = random_fit(7, 3)
         for ns in null_sets(3):
             local_fdr_panel(binned, model, ns)
@@ -495,7 +495,7 @@ class TestCollapsedLikelihood:
     def test_one_study_has_an_empty_left_half(self):
         cond = analytic_conditionals(1, b=10)
         combos = np.arange(10, dtype=np.int32)[:, None]
-        like = ms._sign_sparse(cond, combos)
+        like = ms._likelihood(combos.T, cond)
         # five bins of each sign: one block per sign pattern
         assert like.left.shape == (2, 1, ms.BLOCK) and np.all(like.left == 1.0)
         assert like.right.shape == (2, 2, ms.BLOCK)
@@ -513,13 +513,15 @@ class TestCollapsedLikelihood:
         rng = np.random.default_rng(5)
         cond = random_conditionals(rng, n, 20)
         neg = cond.probs[:, 0] > 0
+        # distinct combos, so the collapse keeps every pattern's size
         combos = np.concatenate([
-            np.column_stack([rng.choice(np.flatnonzero(neg[i] == (p >> i) & 1), size)
-                             for i in range(n)])
+            rng.permutation(np.stack(np.meshgrid(*[np.flatnonzero(neg[i] == (p >> i) & 1)
+                                                   for i in range(n)]), -1).reshape(-1, n))[:size]
             for p, size in enumerate(sizes)
         ])
-        combos = rng.permutation(combos)
-        like = ms._sign_sparse(cond, combos)
+        like = ms._likelihood(rng.permutation(combos).T, cond)
+        combos = ms._collapse_bins(like.bin_index)[0]
+        assert len(combos) == sum(sizes)
         assert like.left.shape == (9, half_rows, ms.BLOCK)
         assert like.right.shape == (9, rows, ms.BLOCK)
         assert [len(like.configs[run]) for run in like.runs] == [2, 2, 2, 2, 1]
@@ -532,15 +534,14 @@ class TestCollapsedLikelihood:
         rng = np.random.default_rng(9)
         n, m = 8, 20_000
         cond = random_conditionals(rng, n, 8)
-        combos, _, counts = ms._collapse_bins(rng.integers(0, 8, size=(n, m)))
-        like = ms._sign_sparse(cond, combos)
+        like = ms._likelihood(rng.integers(0, 8, size=(n, m)), cond)
         pi = np.full(3**n, 3.0**-n)
         # one run of every block would take left.size + configs.size elements at once
         one_run = (like.left.size + like.configs.size) * 8
-        columns = like.combo.size * 8  # the (G, BLOCK) mixture and the gathered weights
+        columns = like.left.shape[0] * ms.BLOCK * 8  # the (G, BLOCK) mixture and scattered weights
         tracemalloc.start()
         try:
-            ms._direction(like, counts / ms._mixture(like, pi))
+            ms._direction(like, like.counts / ms._mixture(like, pi))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -98,6 +98,11 @@ class TestTruth:
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.maf, b.maf)
 
+    def test_rejects_snp_ids_the_truth_reader_would_split(self):
+        zeros = np.zeros((1, 2))
+        with pytest.raises(DataError, match=r"^snp identifier 'b\\rc' holds a tab or a line break$"):
+            cr.TruthPanel(("a", "b\rc"), zeros.astype(np.int8), zeros, zeros)
+
     def test_effect_ranges_respected(self):
         truth = draw_truth(default_design(n_snps=5000, seed=3))
         pos = truth.theta[truth.statuses == 1]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,6 +45,21 @@ class TestPanelValidation:
     def test_duplicate_message_names_the_first_id_seen_twice(self):
         with pytest.raises(DataError, match=r"^duplicate snp identifier 'c'$"):
             ZPanel(("b", "c", "c", "b"), ("x",), np.zeros((1, 4)))
+
+    def test_duplicate_study_message_names_the_id(self):
+        with pytest.raises(DataError, match=r"^duplicate study identifier 'a'$"):
+            ZPanel(("r",), ("a", "b", "a"), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("snps,studies,kind,bad", [
+        (("ok", "a\tb", "c\nd"), ("x",), "snp", "a\tb"),
+        (("ok", "a\r"), ("x",), "snp", "a\r"),
+        (("ok",), ("x", "s\t1"), "study", "s\t1"),
+        (("ok",), ("x\n",), "study", "x\n"),
+    ])
+    def test_rejects_ids_the_readers_would_split(self, snps, studies, kind, bad):
+        # write_zpanel would write a tab, LF or CR in an id; read_zpanel would split there
+        with pytest.raises(DataError, match=rf"^{kind} identifier {re.escape(repr(bad))} holds"):
+            ZPanel(snps, studies, np.zeros((len(studies), len(snps))))
 
     def test_rejects_empty_study_id(self):
         with pytest.raises(DataError, match=r"^empty study identifier$"):
